@@ -20,12 +20,12 @@ use std::collections::HashMap;
 
 use crate::pool::{AlPool, AlResult};
 use crate::ActiveLearner;
-use morer_graph::components::connected_components;
+use morer_graph::components::{component_members, connected_components};
 use morer_graph::mincut::stoer_wagner;
 use morer_graph::Graph;
 use morer_ml::forest::{RandomForest, RandomForestConfig};
 use morer_ml::TrainingSet;
-use rayon::prelude::*;
+use morer_sim::par;
 
 /// Configuration for [`AlmserAl`].
 #[derive(Debug, Clone)]
@@ -80,80 +80,85 @@ struct GraphSignals {
     inferred: Vec<(usize, bool)>,
 }
 
+/// Dense ids for the records of a pool, numbered in first-seen order over
+/// `pool.pairs`. The pairs are fixed within one `select`, so the index is
+/// built once and shared by every round's graph.
+struct RecordIndex {
+    /// Dense `(a, b)` endpoint ids per pool row.
+    endpoints: Vec<(usize, usize)>,
+    /// Number of distinct records.
+    n_records: usize,
+}
+
+impl RecordIndex {
+    fn new(pool: &AlPool) -> Self {
+        let mut dense: HashMap<u32, usize> = HashMap::new();
+        let mut id = |uid: u32| {
+            let next = dense.len();
+            *dense.entry(uid).or_insert(next)
+        };
+        let endpoints: Vec<(usize, usize)> =
+            pool.pairs.iter().map(|&(a, b)| (id(a), id(b))).collect();
+        Self { endpoints, n_records: dense.len() }
+    }
+}
+
 impl AlmserAl {
     /// Create with the given configuration.
     pub fn new(config: AlmserConfig) -> Self {
         Self { config }
     }
 
-    fn analyze_graph(&self, pool: &AlPool, proba: &[f64]) -> GraphSignals {
+    fn analyze_graph(&self, pool: &AlPool, records: &RecordIndex, proba: &[f64]) -> GraphSignals {
         let n_rows = pool.len();
-        // dense record index
-        let mut record_index: HashMap<u32, usize> = HashMap::new();
-        for &(a, b) in &pool.pairs {
-            let next = record_index.len();
-            record_index.entry(a).or_insert(next);
-            let next = record_index.len();
-            record_index.entry(b).or_insert(next);
-        }
-        let n_records = record_index.len();
-        let mut g = Graph::new(n_records);
+        let mut g = Graph::new(records.n_records);
         let positive = |row: usize| match pool.label_of(row) {
             Some(l) => l,
             None => proba[row] >= 0.5,
         };
         for row in 0..n_rows {
             if positive(row) {
-                let (a, b) = pool.pairs[row];
-                let (ia, ib) = (record_index[&a], record_index[&b]);
+                let (ia, ib) = records.endpoints[row];
                 if ia != ib {
                     g.add_edge(ia, ib, proba[row].max(0.05));
                 }
             }
         }
         let comp = connected_components(&g);
-        let mut members: HashMap<usize, Vec<usize>> = HashMap::new();
-        for (node, &c) in comp.iter().enumerate() {
-            members.entry(c).or_default().push(node);
-        }
+        let members = component_members(&comp);
 
-        // per-component statistics: edge count, density, weak-cut partition
-        let comp_ids: Vec<usize> = members.keys().copied().collect();
-        let comp_stats: HashMap<usize, (f64, Option<Vec<usize>>)> = comp_ids
-            .par_iter()
-            .map(|&c| {
-                let nodes = &members[&c];
-                if nodes.len() < 2 {
-                    return (c, (1.0, None));
-                }
-                let (sub, map) = g.induced_subgraph(nodes);
-                let possible = nodes.len() * (nodes.len() - 1) / 2;
-                let density = sub.num_edges() as f64 / possible.max(1) as f64;
-                let weak_side = if nodes.len() <= self.config.max_component_for_cut {
-                    stoer_wagner(&sub).and_then(|cut| {
-                        (cut.weight < self.config.weak_cut_threshold)
-                            .then(|| cut.partition.iter().map(|&i| map[i]).collect())
-                    })
-                } else {
-                    None
-                };
-                (c, (density, weak_side))
-            })
-            .collect();
+        // per-component statistics: density and weak-cut partition
+        let comp_stats: Vec<(f64, Option<Vec<usize>>)> = par::map_indexed(members.len(), 64, |c| {
+            let nodes = &members[c];
+            if nodes.len() < 2 {
+                return (1.0, None);
+            }
+            let (sub, map) = g.induced_subgraph(nodes);
+            let possible = nodes.len() * (nodes.len() - 1) / 2;
+            let density = sub.num_edges() as f64 / possible.max(1) as f64;
+            let weak_side = if nodes.len() <= self.config.max_component_for_cut {
+                stoer_wagner(&sub).and_then(|cut| {
+                    (cut.weight < self.config.weak_cut_threshold)
+                        .then(|| cut.partition.iter().map(|&i| map[i]).collect())
+                })
+            } else {
+                None
+            };
+            (density, weak_side)
+        });
 
         let mut fn_candidate = vec![false; n_rows];
         let mut fp_candidate = vec![false; n_rows];
         let mut inferred = Vec::new();
         for row in 0..n_rows {
-            let (a, b) = pool.pairs[row];
-            let (ia, ib) = (record_index[&a], record_index[&b]);
+            let (ia, ib) = records.endpoints[row];
             let same_comp = comp[ia] == comp[ib];
             let pred = positive(row);
             if same_comp && !pred {
                 fn_candidate[row] = true;
             }
             if pred && same_comp {
-                if let (density, Some(weak_side)) = &comp_stats[&comp[ia]] {
+                if let (density, Some(weak_side)) = &comp_stats[comp[ia]] {
                     let in_side = |node: usize| weak_side.contains(&node);
                     if in_side(ia) != in_side(ib) {
                         fp_candidate[row] = true;
@@ -163,7 +168,7 @@ impl AlmserAl {
             }
             if self.config.graph_inferred_labels && pool.label_of(row).is_none() {
                 if same_comp {
-                    let (density, weak) = &comp_stats[&comp[ia]];
+                    let (density, weak) = &comp_stats[comp[ia]];
                     if *density >= self.config.clean_density && weak.is_none() {
                         inferred.push((row, true));
                     }
@@ -171,11 +176,11 @@ impl AlmserAl {
                     // both endpoints inside *different* clean components →
                     // inferred non-match
                     let clean = |c: usize| {
-                        let (density, weak) = &comp_stats[&c];
+                        let (density, weak) = &comp_stats[c];
                         *density >= self.config.clean_density && weak.is_none()
                     };
-                    if members[&comp[ia]].len() >= 2
-                        && members[&comp[ib]].len() >= 2
+                    if members[comp[ia]].len() >= 2
+                        && members[comp[ib]].len() >= 2
                         && clean(comp[ia])
                         && clean(comp[ib])
                     {
@@ -201,6 +206,7 @@ impl ActiveLearner for AlmserAl {
         let spent = |pool: &AlPool| pool.queries_used() - start;
 
         pool.seed_extremes(self.config.seed_size.min(budget));
+        let records = RecordIndex::new(pool);
 
         let mut round = 0u64;
         while spent(pool) < budget {
@@ -217,11 +223,10 @@ impl ActiveLearner for AlmserAl {
                     ..self.config.forest.clone()
                 },
             );
-            let proba: Vec<f64> = (0..pool.len())
-                .into_par_iter()
-                .map(|row| forest.predict_proba(pool.features.row(row)))
-                .collect();
-            let signals = self.analyze_graph(pool, &proba);
+            let proba: Vec<f64> = par::map_indexed(pool.len(), 512, |row| {
+                forest.predict_proba(pool.features.row(row))
+            });
+            let signals = self.analyze_graph(pool, &records, &proba);
 
             // retrain with inferred labels for the *next* scoring round is
             // folded in here: inferred labels refine the uncertainty ranking
@@ -399,7 +404,7 @@ mod tests {
         let forest = RandomForest::fit(&training, &al.config.forest);
         let proba: Vec<f64> =
             (0..pool.len()).map(|r| forest.predict_proba(pool.features.row(r))).collect();
-        let signals = al.analyze_graph(&pool, &proba);
+        let signals = al.analyze_graph(&pool, &RecordIndex::new(&pool), &proba);
         // at least one of the weak transitive pairs must be flagged
         let flagged = (0..pool.len())
             .filter(|&r| signals.fn_candidate[r] && pool.features.get(r, 0) < 0.5)

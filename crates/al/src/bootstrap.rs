@@ -7,9 +7,9 @@
 //! record-uniqueness weight. The highest-scoring batch is queried, and the
 //! loop repeats until the budget is exhausted.
 
+use morer_sim::par;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::pool::{AlPool, AlResult};
 use crate::uniqueness::UniquenessIndex;
@@ -69,9 +69,8 @@ impl BootstrapAl {
             min_samples_leaf: 1,
             max_features: None,
         };
-        let committee: Vec<DecisionTree> = (0..self.config.committee_size.max(1))
-            .into_par_iter()
-            .map(|i| {
+        let committee: Vec<DecisionTree> =
+            par::map_indexed(self.config.committee_size.max(1), 1, |i| {
                 let mut rng = SmallRng::seed_from_u64(
                     self.config
                         .seed
@@ -80,16 +79,12 @@ impl BootstrapAl {
                 );
                 let sample = bootstrap_sample(&training, &mut rng);
                 DecisionTree::fit(&sample, &tree_config, &mut rng)
-            })
-            .collect();
-        unlabeled
-            .par_iter()
-            .map(|&row| {
-                let x = pool.features.row(row);
-                let votes = committee.iter().filter(|t| t.predict(x)).count();
-                votes as f64 / committee.len() as f64
-            })
-            .collect()
+            });
+        par::map_indexed(unlabeled.len(), 256, |k| {
+            let x = pool.features.row(unlabeled[k]);
+            let votes = committee.iter().filter(|t| t.predict(x)).count();
+            votes as f64 / committee.len() as f64
+        })
     }
 }
 
@@ -131,8 +126,8 @@ impl ActiveLearner for BootstrapAl {
             let remaining = budget - spent(pool);
             let take = self.config.batch_size.max(1).min(remaining);
             // If the committee is certain about everything (all scores 0),
-            // fall back to the most match-like unlabeled rows to keep
-            // spending the budget deterministically.
+            // the sort's tie-break takes the lowest unlabeled row indices,
+            // so the budget is still spent deterministically.
             for &(row, _) in scored.iter().take(take) {
                 pool.query(row);
             }

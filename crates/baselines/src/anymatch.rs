@@ -12,7 +12,6 @@
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::ditto::embed_records;
 use crate::{score_problem, BaselineContext, BaselineRun, ErBaseline};
@@ -21,6 +20,7 @@ use morer_ml::metrics::{f1_score, PairCounts};
 use morer_ml::model::{Classifier, ModelConfig, TrainedModel};
 use morer_ml::sampling::train_test_split;
 use morer_ml::TrainingSet;
+use morer_sim::par;
 
 /// Configuration of the AnyMatch stand-in.
 #[derive(Debug, Clone)]
@@ -104,11 +104,10 @@ impl ErBaseline for AnyMatchSim {
 
         let mut counts = PairCounts::new();
         for p in &ctx.unsolved {
-            let predictions: Vec<bool> = p
-                .pairs
-                .par_iter()
-                .map(|&(a, b)| best.predict(&embedder.pair_features(&embeddings[&a], &embeddings[&b])))
-                .collect();
+            let predictions: Vec<bool> = par::map_indexed(p.pairs.len(), 256, |i| {
+                let (a, b) = p.pairs[i];
+                best.predict(&embedder.pair_features(&embeddings[&a], &embeddings[&b]))
+            });
             score_problem(&mut counts, &predictions, p);
         }
         BaselineRun { counts, labels_used }

@@ -9,14 +9,13 @@
 
 use std::collections::HashMap;
 
-use rayon::prelude::*;
-
 use crate::{score_problem, BaselineContext, BaselineRun, ErBaseline};
 use morer_embed::serialize::serialize_record;
 use morer_embed::{Embedder, EmbedderConfig};
 use morer_ml::metrics::PairCounts;
 use morer_ml::mlp::{Mlp, MlpConfig};
 use morer_ml::TrainingSet;
+use morer_sim::par;
 
 /// Configuration of the Ditto stand-in.
 #[derive(Debug, Clone)]
@@ -72,11 +71,10 @@ pub(crate) fn embed_records(
         EmbedderConfig { dim, ..Default::default() },
         &corpus,
     );
-    let embeddings: HashMap<u32, Vec<f32>> = uids
-        .par_iter()
-        .zip(&corpus)
-        .map(|(&uid, text)| (uid, embedder.embed(text)))
-        .collect();
+    let embeddings: HashMap<u32, Vec<f32>> =
+        par::map_indexed(uids.len(), 64, |i| (uids[i], embedder.embed(&corpus[i])))
+            .into_iter()
+            .collect();
     (embedder, embeddings)
 }
 
@@ -148,13 +146,10 @@ impl ErBaseline for DittoSim {
         );
         let mut counts = PairCounts::new();
         for p in &ctx.unsolved {
-            let predictions: Vec<bool> = p
-                .pairs
-                .par_iter()
-                .map(|&(a, b)| {
-                    mlp.predict(&embedder.pair_features(&embeddings[&a], &embeddings[&b]))
-                })
-                .collect();
+            let predictions: Vec<bool> = par::map_indexed(p.pairs.len(), 256, |i| {
+                let (a, b) = p.pairs[i];
+                mlp.predict(&embedder.pair_features(&embeddings[&a], &embeddings[&b]))
+            });
             score_problem(&mut counts, &predictions, p);
         }
         BaselineRun { counts, labels_used }

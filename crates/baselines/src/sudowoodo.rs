@@ -13,7 +13,6 @@ use std::collections::HashMap;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::{score_problem, BaselineContext, BaselineRun, ErBaseline};
 use morer_data::corruption::{corrupt_value, AttributeKind, SourceProfile};
@@ -21,6 +20,7 @@ use morer_embed::contrastive::{ContrastiveConfig, ContrastiveProjection};
 use morer_embed::serialize::serialize_record;
 use morer_embed::{cosine, Embedder, EmbedderConfig};
 use morer_ml::metrics::{f1_score, PairCounts};
+use morer_sim::par;
 
 /// Configuration of the Sudowoodo stand-in.
 #[derive(Debug, Clone)]
@@ -108,11 +108,11 @@ impl ErBaseline for SudowoodoSim {
             &pairs,
             &ContrastiveConfig { seed: ctx.seed, ..self.config.contrastive.clone() },
         );
-        let projected: HashMap<u32, Vec<f32>> = uids
-            .par_iter()
-            .zip(&corpus)
-            .map(|(&uid, text)| (uid, projection.project(&embedder.embed(text))))
-            .collect();
+        let projected: HashMap<u32, Vec<f32>> = par::map_indexed(uids.len(), 64, |i| {
+            (uids[i], projection.project(&embedder.embed(&corpus[i])))
+        })
+        .into_iter()
+        .collect();
 
         // --- semi-supervised threshold calibration on the budget ---------
         let mut all_rows: Vec<(usize, usize)> = ctx
@@ -137,11 +137,10 @@ impl ErBaseline for SudowoodoSim {
         // --- classification ----------------------------------------------
         let mut counts = PairCounts::new();
         for p in &ctx.unsolved {
-            let predictions: Vec<bool> = p
-                .pairs
-                .par_iter()
-                .map(|&(a, b)| f64::from(cosine(&projected[&a], &projected[&b])) >= threshold)
-                .collect();
+            let predictions: Vec<bool> = par::map_indexed(p.pairs.len(), 256, |i| {
+                let (a, b) = p.pairs[i];
+                f64::from(cosine(&projected[&a], &projected[&b])) >= threshold
+            });
             score_problem(&mut counts, &predictions, p);
         }
         BaselineRun { counts, labels_used }

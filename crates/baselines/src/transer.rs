@@ -13,12 +13,11 @@
 //! ER tasks" (§5.3) — brute-force k-NN over the whole source side, which is
 //! what makes it slow on large benchmarks.
 
-use rayon::prelude::*;
-
 use crate::{score_problem, BaselineContext, BaselineRun, ErBaseline};
 use morer_ml::forest::{RandomForest, RandomForestConfig};
 use morer_ml::metrics::PairCounts;
 use morer_ml::TrainingSet;
+use morer_sim::par;
 
 /// TransER configuration (paper §5.2 defaults: k=10, t_c = t_l = t_p = 0.9).
 #[derive(Debug, Clone)]
@@ -68,42 +67,42 @@ impl TransEr {
     /// Phase 1: pseudo-label target rows from the source neighbourhood.
     fn pseudo_label(&self, source: &TrainingSet, target: &morer_data::ErProblem) -> Vec<PseudoLabel> {
         let k = self.config.k.min(source.len().max(1));
-        (0..target.num_pairs())
-            .into_par_iter()
-            .filter_map(|row| {
-                let w = target.features.row(row);
-                // brute-force k-NN by squared Euclidean distance
-                let mut best: Vec<(f64, bool)> = Vec::with_capacity(k + 1);
-                for (srow, &slabel) in source.x.iter_rows().zip(&source.y) {
-                    let d: f64 = w.iter().zip(srow).map(|(a, b)| (a - b) * (a - b)).sum();
-                    if best.len() < k {
-                        best.push((d, slabel));
-                        best.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    } else if d < best[k - 1].0 {
-                        best[k - 1] = (d, slabel);
-                        best.sort_by(|a, b| a.0.total_cmp(&b.0));
-                    }
+        par::map_indexed(target.num_pairs(), 16, |row| {
+            let w = target.features.row(row);
+            // brute-force k-NN by squared Euclidean distance
+            let mut best: Vec<(f64, bool)> = Vec::with_capacity(k + 1);
+            for (srow, &slabel) in source.x.iter_rows().zip(&source.y) {
+                let d: f64 = w.iter().zip(srow).map(|(a, b)| (a - b) * (a - b)).sum();
+                if best.len() < k {
+                    best.push((d, slabel));
+                    best.sort_by(|a, b| a.0.total_cmp(&b.0));
+                } else if d < best[k - 1].0 {
+                    best[k - 1] = (d, slabel);
+                    best.sort_by(|a, b| a.0.total_cmp(&b.0));
                 }
-                if best.is_empty() {
-                    return None;
-                }
-                let pos = best.iter().filter(|(_, l)| *l).count();
-                let confidence = (pos.max(best.len() - pos)) as f64 / best.len() as f64;
-                // structural similarity: how tight the neighbourhood is in the
-                // unit feature cube (mean distance mapped to a similarity)
-                let t = w.len().max(1) as f64;
-                let mean_dist = best.iter().map(|(d, _)| d.sqrt()).sum::<f64>() / best.len() as f64;
-                let structural = 1.0 - (mean_dist / t.sqrt()).min(1.0);
-                if confidence >= self.config.t_c
-                    && structural >= self.config.t_l
-                    && confidence >= self.config.t_p
-                {
-                    Some(PseudoLabel { row, label: pos * 2 > best.len() })
-                } else {
-                    None
-                }
-            })
-            .collect()
+            }
+            if best.is_empty() {
+                return None;
+            }
+            let pos = best.iter().filter(|(_, l)| *l).count();
+            let confidence = (pos.max(best.len() - pos)) as f64 / best.len() as f64;
+            // structural similarity: how tight the neighbourhood is in the
+            // unit feature cube (mean distance mapped to a similarity)
+            let t = w.len().max(1) as f64;
+            let mean_dist = best.iter().map(|(d, _)| d.sqrt()).sum::<f64>() / best.len() as f64;
+            let structural = 1.0 - (mean_dist / t.sqrt()).min(1.0);
+            if confidence >= self.config.t_c
+                && structural >= self.config.t_l
+                && confidence >= self.config.t_p
+            {
+                Some(PseudoLabel { row, label: pos * 2 > best.len() })
+            } else {
+                None
+            }
+        })
+        .into_iter()
+        .flatten()
+        .collect()
     }
 }
 

@@ -10,7 +10,6 @@
 
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 
 use crate::ditto::{embed_records, oversample_minority, pair_training_set};
 use crate::{score_problem, BaselineContext, BaselineRun, ErBaseline};
@@ -18,6 +17,7 @@ use morer_ml::linear::{LogisticRegression, LogisticRegressionConfig};
 use morer_ml::metrics::PairCounts;
 use morer_ml::sampling::bootstrap_sample;
 use morer_ml::TrainingSet;
+use morer_sim::par;
 
 /// Configuration of the Unicorn stand-in.
 #[derive(Debug, Clone)]
@@ -69,14 +69,12 @@ impl ErBaseline for UnicornSim {
         let training = oversample_minority(&raw_training, 2, ctx.seed);
 
         // experts on diverse bootstrap shards
-        let experts: Vec<LogisticRegression> = (0..self.config.num_experts.max(1))
-            .into_par_iter()
-            .map(|e| {
+        let experts: Vec<LogisticRegression> =
+            par::map_indexed(self.config.num_experts.max(1), 1, |e| {
                 let mut rng = SmallRng::seed_from_u64(ctx.seed ^ (e as u64) << 8);
                 let shard = bootstrap_sample(&training, &mut rng);
                 LogisticRegression::fit(&shard, &self.config.expert)
-            })
-            .collect();
+            });
 
         // stacked gate: logistic regression over expert probabilities
         let mut gate_data = TrainingSet::new(experts.len());
@@ -88,16 +86,12 @@ impl ErBaseline for UnicornSim {
 
         let mut counts = PairCounts::new();
         for p in &ctx.unsolved {
-            let predictions: Vec<bool> = p
-                .pairs
-                .par_iter()
-                .map(|&(a, b)| {
-                    let features = embedder.pair_features(&embeddings[&a], &embeddings[&b]);
-                    let meta: Vec<f64> =
-                        experts.iter().map(|e| e.predict_proba(&features)).collect();
-                    gate.predict(&meta)
-                })
-                .collect();
+            let predictions: Vec<bool> = par::map_indexed(p.pairs.len(), 256, |i| {
+                let (a, b) = p.pairs[i];
+                let features = embedder.pair_features(&embeddings[&a], &embeddings[&b]);
+                let meta: Vec<f64> = experts.iter().map(|e| e.predict_proba(&features)).collect();
+                gate.predict(&meta)
+            });
             score_problem(&mut counts, &predictions, p);
         }
         BaselineRun { counts, labels_used }

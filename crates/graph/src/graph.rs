@@ -1,5 +1,7 @@
 //! Weighted undirected graph with adjacency lists.
 
+use std::collections::HashMap;
+
 /// A weighted undirected graph over nodes `0..n`.
 ///
 /// * Parallel edges are merged: adding an existing edge accumulates weight.
@@ -111,15 +113,24 @@ impl Graph {
 
     /// Induced subgraph on `nodes`; returns the subgraph and the mapping from
     /// new indices to the original node ids.
+    ///
+    /// Costs O(k log k + the members' degrees) for `k` nodes, not a pass
+    /// over the whole graph, so calling it once per component stays linear.
+    /// Edges are added in [`edges`](Graph::edges) order.
     pub fn induced_subgraph(&self, nodes: &[usize]) -> (Graph, Vec<usize>) {
-        let mut remap = vec![usize::MAX; self.num_nodes()];
-        for (new, &old) in nodes.iter().enumerate() {
-            remap[old] = new;
-        }
+        let remap: HashMap<usize, usize> =
+            nodes.iter().enumerate().map(|(new, &old)| (old, new)).collect();
+        let mut members: Vec<usize> = nodes.to_vec();
+        members.sort_unstable();
+        members.dedup();
         let mut sub = Graph::new(nodes.len());
-        for (u, v, w) in self.edges() {
-            if remap[u] != usize::MAX && remap[v] != usize::MAX {
-                sub.add_edge(remap[u], remap[v], w);
+        for &u in &members {
+            for &(v, w) in &self.adj[u] {
+                if u <= v {
+                    if let Some(&nv) = remap.get(&v) {
+                        sub.add_edge(remap[&u], nv, w);
+                    }
+                }
             }
         }
         (sub, nodes.to_vec())
@@ -193,6 +204,42 @@ mod tests {
         assert_eq!(sub.num_edges(), 1); // only (1,2) survives
         assert_eq!(sub.edge_weight(0, 1), Some(2.0));
         assert_eq!(map, vec![1, 2, 4]);
+    }
+
+    #[test]
+    fn induced_subgraph_equals_a_full_edge_scan() {
+        use rand::rngs::SmallRng;
+        use rand::seq::SliceRandom;
+        use rand::{Rng, SeedableRng};
+        let mut rng = SmallRng::seed_from_u64(7);
+        let n = 60;
+        let mut g = Graph::new(n);
+        for _ in 0..200 {
+            let (u, v) = (rng.gen_range(0..n), rng.gen_range(0..n));
+            g.add_edge(u, v, rng.gen_range(0.1f64..2.0));
+        }
+        for _ in 0..20 {
+            let mut nodes: Vec<usize> = (0..n).filter(|_| rng.gen_bool(0.4)).collect();
+            nodes.shuffle(&mut rng);
+            // reference: keep every edge of the whole graph with both ends inside
+            let mut remap = vec![usize::MAX; n];
+            for (new, &old) in nodes.iter().enumerate() {
+                remap[old] = new;
+            }
+            let mut reference = Graph::new(nodes.len());
+            for (u, v, w) in g.edges() {
+                if remap[u] != usize::MAX && remap[v] != usize::MAX {
+                    reference.add_edge(remap[u], remap[v], w);
+                }
+            }
+            let (sub, map) = g.induced_subgraph(&nodes);
+            assert_eq!(map, nodes);
+            assert_eq!(sub.num_edges(), reference.num_edges());
+            assert_eq!(sub.total_weight().to_bits(), reference.total_weight().to_bits());
+            for u in 0..nodes.len() {
+                assert_eq!(sub.neighbors(u), reference.neighbors(u));
+            }
+        }
     }
 
     #[test]

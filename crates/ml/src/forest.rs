@@ -4,9 +4,9 @@
 //! methods (Bootstrap, Almser) and its supervised variant all train forests
 //! on similarity feature vectors.
 
+use morer_sim::par;
 use rand::rngs::SmallRng;
 use rand::SeedableRng;
-use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::TrainingSet;
@@ -51,7 +51,8 @@ pub(crate) fn splitmix(seed: u64, stream: u64) -> u64 {
 
 impl RandomForest {
     /// Train `n_trees` trees in parallel, each on a bootstrap resample with
-    /// feature subsampling.
+    /// feature subsampling. Trees come back in index order, so the forest is
+    /// the one a sequential loop over `0..n_trees` would build.
     pub fn fit(data: &TrainingSet, config: &RandomForestConfig) -> Self {
         let max_features = config
             .max_features
@@ -62,14 +63,11 @@ impl RandomForest {
             min_samples_leaf: config.min_samples_leaf,
             max_features: Some(max_features.min(data.num_features().max(1))),
         };
-        let trees: Vec<DecisionTree> = (0..config.n_trees.max(1))
-            .into_par_iter()
-            .map(|i| {
-                let mut rng = SmallRng::seed_from_u64(splitmix(config.seed, i as u64));
-                let sample = bootstrap_sample(data, &mut rng);
-                DecisionTree::fit(&sample, &tree_config, &mut rng)
-            })
-            .collect();
+        let trees = par::map_indexed(config.n_trees.max(1), 1, |i| {
+            let mut rng = SmallRng::seed_from_u64(splitmix(config.seed, i as u64));
+            let sample = bootstrap_sample(data, &mut rng);
+            DecisionTree::fit(&sample, &tree_config, &mut rng)
+        });
         Self { trees }
     }
 
@@ -148,6 +146,26 @@ mod tests {
         let a = RandomForest::fit(&data, &cfg);
         let b = RandomForest::fit(&data, &cfg);
         assert_eq!(a, b);
+    }
+
+    #[test]
+    fn fit_equals_trees_fitted_in_order() {
+        let data = noisy_data(200, 6);
+        let cfg = RandomForestConfig { n_trees: 9, max_depth: 6, seed: 17, ..Default::default() };
+        let tree_config = DecisionTreeConfig {
+            max_depth: cfg.max_depth,
+            min_samples_split: 2,
+            min_samples_leaf: cfg.min_samples_leaf,
+            max_features: Some(1),
+        };
+        let trees = (0..cfg.n_trees)
+            .map(|i| {
+                let mut rng = SmallRng::seed_from_u64(splitmix(cfg.seed, i as u64));
+                let sample = bootstrap_sample(&data, &mut rng);
+                DecisionTree::fit(&sample, &tree_config, &mut rng)
+            })
+            .collect();
+        assert_eq!(RandomForest::fit(&data, &cfg), RandomForest { trees });
     }
 
     #[test]

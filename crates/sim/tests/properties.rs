@@ -243,4 +243,19 @@ proptest! {
             }
         }
     }
+
+    /// The parallel map is the sequential map: same values, same order, for
+    /// any size and any chunking threshold (0 and sizes below one chunk
+    /// included).
+    #[test]
+    fn map_indexed_equals_sequential_map(
+        n in 0usize..5000,
+        min_chunk in 0usize..600,
+        salt in any::<u64>(),
+    ) {
+        let f = |i: usize| (i as u64).wrapping_mul(0x9E37_79B9_7F4A_7C15) ^ salt;
+        let parallel = morer_sim::par::map_indexed(n, min_chunk, f);
+        let sequential: Vec<u64> = (0..n).map(f).collect();
+        prop_assert_eq!(parallel, sequential);
+    }
 }
