@@ -177,7 +177,7 @@ fn main() {
 /// with `serve_p99_micros` the server's own p99 for that load read back
 /// from its lock-free latency histograms, and `metrics_record_ns` the
 /// budget-asserted cost of one observability record on the request path;
-/// `serve_reactor_requests_per_s`: the same load on the reactor backend
+/// `serve_reactor_requests_per_s`: the same load
 /// with 1024 idle keep-alive connections parked — `serve_concurrent_conns`
 /// is the peak open-connection gauge and `serve_idle_conn_reap_ms` how far
 /// past its idle deadline a 256-connection parked cohort was fully
@@ -582,7 +582,7 @@ fn quick_bench(seed: u64) {
     );
 
     // --- reactor under parked idle connections (ISSUE 9) -----------------
-    // the event-driven backend's contract: a solve's cost must not depend
+    // the reactor's contract: a solve's cost must not depend
     // on how many idle keep-alive connections are parked. 1024 connections
     // are parked, served solves are re-asserted bit-identical to the
     // in-process reference, and only then is throughput measured — with
@@ -593,14 +593,10 @@ fn quick_bench(seed: u64) {
     // configured deadline).
     let (serve_concurrent_conns, serve_reactor_rate, serve_idle_conn_reap_ms);
     if cfg!(target_os = "linux") {
-        use morer_serve::{ServeBackend, StatsResponse};
-        let reactor_cfg = morer_serve::ServeConfig {
-            backend: ServeBackend::Reactor,
-            ..morer_serve::ServeConfig::default()
-        };
+        use morer_serve::StatsResponse;
         let reactor_handle = MorerServer::start(
             Morer::from_repository(searcher.repository(), &serve_cfg),
-            &reactor_cfg,
+            &morer_serve::ServeConfig::default(),
         )
         .expect("start reactor morer-serve");
         let addr = reactor_handle.addr();
@@ -660,7 +656,6 @@ fn quick_bench(seed: u64) {
         let reap_handle = MorerServer::start(
             Morer::from_repository(searcher.repository(), &serve_cfg),
             &morer_serve::ServeConfig {
-                backend: ServeBackend::Reactor,
                 idle_timeout: reap_deadline,
                 ..morer_serve::ServeConfig::default()
             },

@@ -171,8 +171,8 @@ impl Connection {
         let deadline = self.io_timeout.map(|t| Instant::now() + t);
         let timed_out = || deadline.is_some_and(|d| Instant::now() >= d);
         let mut buf = std::mem::take(&mut self.carry);
-        // head: same accumulation core as the server's request reader (with
-        // no timeout configured, timeout ticks never fire)
+        // head: accumulate until the terminator (with no timeout
+        // configured, timeout ticks never fire)
         let head_end =
             match http::fill_until(&mut self.stream, &mut buf, http::find_head_end, timed_out)? {
                 http::Fill::Done(pos) => pos,

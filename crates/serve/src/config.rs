@@ -6,101 +6,29 @@ use std::time::Duration;
 use morer_core::error::MorerError;
 use morer_core::wal::Durability;
 
-/// Which connection-handling core serves the read path.
-///
-/// Both backends share everything above the transport: the same
-/// [`crate::http::RequestParser`] framing, the same dispatch table, the
-/// same single-writer ingest channel and the same metrics registry — a
-/// solve response is byte-identical whichever backend produced it.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ServeBackend {
-    /// Thread-per-connection over a fixed pool of [`ServeConfig::workers`]
-    /// blocking threads. Simple and portable, but each idle keep-alive
-    /// client pins one worker for up to [`ServeConfig::idle_timeout`], so
-    /// concurrency is capped at `workers` connections.
-    Threaded,
-    /// Readiness reactor (`epoll`, Linux only): [`ServeConfig::reactors`]
-    /// event-loop threads own every connection as a non-blocking state
-    /// machine and dispatch request bodies to a compute pool of
-    /// [`ServeConfig::compute_threads`] threads. Idle connections cost a
-    /// slab slot and a timer entry — thousands of parked keep-alive
-    /// clients do not stall accepts or solves.
-    Reactor,
-}
-
-impl ServeBackend {
-    /// The platform default: the reactor wherever its `epoll` shim exists
-    /// (Linux), the threaded pool elsewhere.
-    pub fn platform_default() -> Self {
-        if cfg!(target_os = "linux") {
-            ServeBackend::Reactor
-        } else {
-            ServeBackend::Threaded
-        }
-    }
-
-    /// Backend requested by the `MORER_SERVE_BACKEND` environment variable
-    /// (`"threaded"` / `"reactor"`, case-insensitive), if set and valid.
-    /// This is how the test suites run one binary against both backends.
-    pub fn from_env() -> Option<Self> {
-        match std::env::var("MORER_SERVE_BACKEND").ok()?.to_ascii_lowercase().as_str() {
-            "threaded" => Some(ServeBackend::Threaded),
-            "reactor" => Some(ServeBackend::Reactor),
-            _ => None,
-        }
-    }
-
-    /// Stable name, reported by `GET /healthz`.
-    pub fn label(self) -> &'static str {
-        match self {
-            ServeBackend::Threaded => "threaded",
-            ServeBackend::Reactor => "reactor",
-        }
-    }
-}
-
-impl Default for ServeBackend {
-    /// [`ServeBackend::from_env`] when set, else
-    /// [`ServeBackend::platform_default`].
-    fn default() -> Self {
-        Self::from_env().unwrap_or_else(Self::platform_default)
-    }
-}
-
 /// Configuration of a [`crate::MorerServer`].
-///
-/// Knobs whose meaning differs per [`ServeBackend`] say so explicitly;
-/// everything else applies to both backends unchanged.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
     /// Bind address. Port `0` asks the OS for a free port (the bound
     /// address is reported by [`crate::ServerHandle::addr`]).
     pub addr: String,
-    /// Which connection core serves the read path (see [`ServeBackend`]).
-    pub backend: ServeBackend,
-    /// **Threaded backend only**: number of connection-handling worker
-    /// threads (the concurrency cap — each connection pins one worker for
-    /// its lifetime). The reactor backend ignores this; its parallelism
-    /// comes from `reactors` + `compute_threads`.
-    pub workers: usize,
-    /// **Reactor backend only**: number of event-loop threads. Each owns
+    /// Number of event-loop (reactor) threads. Each owns
     /// its own `epoll` instance and a share of the connections; `1`
     /// (the default) is right up to tens of thousands of mostly-idle
     /// connections — add reactors only when the event loop itself
     /// saturates a core. Clamped to at least 1.
     pub reactors: usize,
-    /// **Reactor backend only**: size of the compute pool that runs POST
+    /// Size of the compute pool that runs POST
     /// bodies (`/search`, `/solve`, `/solve_batch`, `/ingest` — the
     /// CPU-bound and writer-blocking work; cheap GETs are answered on the
     /// reactor thread). `0` sizes it to the machine
     /// (`available_parallelism`, floor 2 so one in-flight `/ingest`
     /// waiting on the writer cannot serialize every solve).
     pub compute_threads: usize,
-    /// **Reactor backend only**: cap on simultaneously open connections
-    /// across all reactors. Connections beyond the cap are accepted and
-    /// immediately closed (counted in the `rejected` gauge) so the
-    /// listener backlog never silently fills. The threaded backend's cap
-    /// is implicitly `workers`.
+    /// Cap on simultaneously open connections across all reactors.
+    /// Connections beyond the cap are accepted and immediately closed
+    /// (counted in the `rejected` gauge) so the listener backlog never
+    /// silently fills.
     pub max_connections: usize,
     /// Requests whose declared `Content-Length` exceeds this are rejected
     /// with `413 Payload Too Large` before the body is read.
@@ -109,22 +37,14 @@ pub struct ServeConfig {
     pub max_header_bytes: usize,
     /// Capacity of the bounded ingest channel between the connection core
     /// and the writer thread. When the queue is full, further `/ingest`
-    /// requests block in their worker/compute thread (backpressure) until
-    /// the writer drains it.
+    /// requests block in their compute thread (backpressure) until the
+    /// writer drains it.
     pub ingest_queue: usize,
-    /// **Threaded backend only**: granularity of the socket read timeout.
-    /// Idle keep-alive connections wake this often to check for shutdown,
-    /// so it bounds shutdown latency; it does **not** limit how long a
-    /// request may take. The reactor backend needs no polling tick — its
-    /// connections sleep in `epoll_wait` and shutdown is a pipe wakeup.
-    pub poll_interval: Duration,
     /// Maximum wall-clock time to *receive* one request, including the
     /// idle wait on a keep-alive connection. A client that goes silent or
-    /// trickles bytes slower than this is disconnected, so it cannot pin
-    /// a worker thread (threaded) or hold a connection slot (reactor)
-    /// forever. Does not limit how long a request takes to *process* once
-    /// received. On the threaded backend the deadline is checked at
-    /// `poll_interval` granularity; the reactor fires it from its timer
+    /// trickles bytes slower than this is disconnected, so it cannot hold
+    /// a connection slot forever. Does not limit how long a request takes
+    /// to *process* once received. The reactor fires it from its timer
     /// queue with no polling.
     pub idle_timeout: Duration,
     /// Directory for the write-ahead log. `Some` makes the writer durable:
@@ -170,15 +90,12 @@ impl Default for ServeConfig {
     fn default() -> Self {
         Self {
             addr: "127.0.0.1:0".to_owned(),
-            backend: ServeBackend::default(),
-            workers: 4,
             reactors: 1,
             compute_threads: 0,
             max_connections: 8192,
             max_body_bytes: 8 << 20,
             max_header_bytes: 8 << 10,
             ingest_queue: 32,
-            poll_interval: Duration::from_millis(50),
             idle_timeout: Duration::from_secs(30),
             wal_dir: None,
             durability: Durability::Fsync,
@@ -192,11 +109,9 @@ impl Default for ServeConfig {
 }
 
 impl ServeConfig {
-    /// Check the knobs against the selected backend before binding
-    /// anything. Validation is *per backend*: the old blanket rule
-    /// `idle_timeout > poll_interval * 4` was a threaded-pool artifact
-    /// (its deadline is only checked on poll ticks) and does not apply to
-    /// the reactor, whose timers fire independently of any polling tick.
+    /// Check the knobs before binding anything. The reactor's idle timers
+    /// fire independently of any polling tick, so any nonzero
+    /// `idle_timeout` is honoured on time.
     ///
     /// # Errors
     /// [`MorerError::Io`] (kind `InvalidInput`) describing the first
@@ -211,33 +126,11 @@ impl ServeConfig {
         if self.idle_timeout == Duration::ZERO {
             return invalid("idle_timeout must be nonzero".into());
         }
-        match self.backend {
-            ServeBackend::Threaded => {
-                // the threaded deadline is only observed on read-timeout
-                // ticks: an idle_timeout below one tick could never fire
-                // on time, silently stretching every receive deadline
-                if self.poll_interval == Duration::ZERO {
-                    return invalid("threaded backend: poll_interval must be nonzero".into());
-                }
-                if self.idle_timeout < self.poll_interval {
-                    return invalid(format!(
-                        "threaded backend: idle_timeout ({:?}) must be at least one \
-                         poll_interval ({:?}) — the deadline is checked on poll ticks",
-                        self.idle_timeout, self.poll_interval
-                    ));
-                }
-            }
-            ServeBackend::Reactor => {
-                if !cfg!(target_os = "linux") {
-                    return invalid(
-                        "reactor backend requires Linux (epoll); select ServeBackend::Threaded"
-                            .into(),
-                    );
-                }
-                if self.max_connections == 0 {
-                    return invalid("reactor backend: max_connections must be nonzero".into());
-                }
-            }
+        if !cfg!(target_os = "linux") {
+            return invalid("the serve reactor requires Linux (epoll)".into());
+        }
+        if self.max_connections == 0 {
+            return invalid("max_connections must be nonzero".into());
         }
         Ok(())
     }
@@ -250,12 +143,10 @@ mod tests {
     #[test]
     fn defaults_are_sane() {
         let c = ServeConfig::default();
-        assert!(c.workers >= 1);
         assert!(c.reactors >= 1);
         assert!(c.max_connections >= 1024);
         assert!(c.max_body_bytes > c.max_header_bytes);
         assert!(c.ingest_queue >= 1);
-        assert!(c.poll_interval > Duration::ZERO);
         assert!(c.idle_timeout > Duration::ZERO);
         // port 0: tests and examples never collide on a fixed port
         assert!(c.addr.ends_with(":0"));
@@ -267,48 +158,33 @@ mod tests {
         // group commit keeps the fsync-acknowledgement contract while
         // amortizing the sync, so it is on by default
         assert!(c.group_commit);
-        // repair probes must be paced well above the poll tick
-        assert!(c.writer_retry > c.poll_interval);
+        assert!(c.writer_retry > Duration::ZERO);
         // observability defaults: a 100 ms slow threshold and a ring big
         // enough for a few hundred traced requests
         assert_eq!(c.slow_request_micros, 100_000);
         assert!(c.trace_events >= 64);
-        // defaults validate on every backend this platform offers
-        for backend in [ServeBackend::Threaded, ServeBackend::platform_default()] {
-            let mut c = ServeConfig::default();
-            c.backend = backend;
+        if cfg!(target_os = "linux") {
             c.validate().unwrap();
         }
     }
 
     #[test]
-    fn validation_is_per_backend() {
-        // a sub-poll-tick idle deadline is broken on the threaded backend…
-        let mut c = ServeConfig::default();
-        c.backend = ServeBackend::Threaded;
-        c.poll_interval = Duration::from_millis(50);
-        c.idle_timeout = Duration::from_millis(10);
-        assert!(c.validate().is_err());
-        // …but fine on the reactor, whose timers need no polling tick
-        // (the old blanket `idle_timeout > poll_interval * 4` rule is gone)
-        if cfg!(target_os = "linux") {
-            c.backend = ServeBackend::Reactor;
-            c.validate().unwrap();
+    fn validation_rejects_zero_limits() {
+        if !cfg!(target_os = "linux") {
+            assert!(ServeConfig::default().validate().is_err());
+            return;
         }
-        // reactor-only knobs are ignored by the threaded validator
-        let mut c = ServeConfig::default();
-        c.backend = ServeBackend::Threaded;
-        c.max_connections = 0;
+        // the reactor's timers need no polling tick: a 10 ms idle
+        // deadline is honoured on time and validates
+        let c = ServeConfig { idle_timeout: Duration::from_millis(10), ..ServeConfig::default() };
         c.validate().unwrap();
-        if cfg!(target_os = "linux") {
-            c.backend = ServeBackend::Reactor;
-            assert!(c.validate().is_err());
+        for bad in [
+            ServeConfig { idle_timeout: Duration::ZERO, ..ServeConfig::default() },
+            ServeConfig { max_connections: 0, ..ServeConfig::default() },
+            ServeConfig { max_body_bytes: 0, ..ServeConfig::default() },
+            ServeConfig { max_header_bytes: 0, ..ServeConfig::default() },
+        ] {
+            assert!(bad.validate().is_err(), "{bad:?}");
         }
-    }
-
-    #[test]
-    fn backend_labels_are_stable() {
-        assert_eq!(ServeBackend::Threaded.label(), "threaded");
-        assert_eq!(ServeBackend::Reactor.label(), "reactor");
     }
 }

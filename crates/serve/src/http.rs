@@ -6,13 +6,11 @@
 //!
 //! Parsing is a *resumable continuation* ([`RequestParser`]): a pure
 //! function of the bytes accumulated so far that either yields a complete
-//! [`Request`] or asks for more. The blocking transport ([`read_request`],
-//! used by the threaded backend and shared with the loopback client's
-//! accumulation cores) and the non-blocking reactor transport (the
-//! `reactor` module) drive the *same* parser, so request framing cannot
-//! drift between backends.
+//! [`Request`] or asks for more. The reactor feeds it each connection's
+//! receive buffer as bytes arrive; the loopback client reuses the blocking
+//! accumulation helpers (`fill_until`, `fill_exact`) to read responses.
 
-use std::io::{ErrorKind, Read, Write};
+use std::io::{ErrorKind, Read};
 
 /// The interim response sent when a client declares `Expect: 100-continue`
 /// and the body has not arrived yet (curl does this for bodies over 1 KB
@@ -44,16 +42,11 @@ pub struct Request {
     pub keep_alive: bool,
 }
 
-/// Why a request could not be read. Distinguishes protocol errors (which
-/// get an HTTP error response) from connection lifecycle events (which
-/// just end the connection).
+/// Why a request could not be parsed. Both are protocol errors: the
+/// server answers them with an HTTP error response and closes the
+/// connection.
 #[derive(Debug)]
 pub enum RequestError {
-    /// The peer closed (or shutdown was requested) before a request
-    /// started — the normal end of a keep-alive connection.
-    Closed,
-    /// The connection failed mid-request.
-    Io(std::io::Error),
     /// The request head was malformed or unsupported → `400`.
     Bad(String),
     /// The declared body exceeds the configured cap → `413`. The body was
@@ -87,9 +80,8 @@ pub(crate) enum Fill<T> {
 
 /// Read chunks from `stream` into `buf` until `done(buf)` yields a value.
 /// `on_timeout` runs on every read-timeout tick (`WouldBlock`/`TimedOut`);
-/// returning `true` abandons the read. Shared by the server's request
-/// reader and the loopback client's response reader so the accumulation
-/// and retry semantics cannot drift apart.
+/// returning `true` abandons the read. The loopback client reads response
+/// heads with it.
 pub(crate) fn fill_until<T>(
     stream: &mut impl Read,
     buf: &mut Vec<u8>,
@@ -180,8 +172,8 @@ pub enum ParseStatus {
     /// The buffer does not hold a complete request yet — read more bytes
     /// and call [`RequestParser::advance`] again. When `send_continue` is
     /// set the client declared `Expect: 100-continue` and is holding the
-    /// body back: write [`CONTINUE`] (via [`write_continue`]) before the
-    /// next read. The flag fires exactly once per request.
+    /// body back: write the interim `HTTP/1.1 100 Continue` response
+    /// before the next read. The flag fires exactly once per request.
     NeedMore {
         /// Write the interim `100 Continue` response before reading on.
         send_continue: bool,
@@ -200,10 +192,9 @@ pub enum ParseStatus {
 /// A resumable HTTP/1.1 request parser: feed it the connection's
 /// accumulated byte buffer as often as you like ([`RequestParser::advance`]
 /// is a pure function of that buffer plus the parser's continuation state)
-/// and it yields a [`Request`] once the bytes are complete. Both the
-/// blocking transport ([`read_request`]) and the reactor's per-connection
-/// state machines drive this parser, so framing is identical by
-/// construction.
+/// and it yields a [`Request`] once the bytes are complete. The reactor's
+/// per-connection state machines drive it as bytes arrive, in whatever
+/// chunks the socket delivers them.
 #[derive(Debug, Default)]
 pub struct RequestParser {
     head: Option<ParsedHead>,
@@ -224,20 +215,14 @@ impl RequestParser {
         self.head.is_some()
     }
 
-    /// The byte offset the buffer must reach for the current request to be
-    /// complete, once the head is parsed (lets a blocking caller read the
-    /// remaining body straight into the final buffer).
-    pub fn body_target(&self) -> Option<usize> {
-        self.head.as_ref().map(|h| h.body_end)
-    }
-
     /// Inspect `buf` (the bytes received so far on this connection) and
     /// either yield a complete request or ask for more bytes.
     ///
     /// # Errors
-    /// [`RequestError::Bad`] / [`RequestError::TooLarge`] exactly as
-    /// [`read_request`] reports them; the parser is not usable for this
-    /// connection afterwards (protocol errors close the connection).
+    /// [`RequestError::Bad`] for a malformed or unsupported head,
+    /// [`RequestError::TooLarge`] for a declared body over the cap; the
+    /// parser is not usable for this connection afterwards (protocol
+    /// errors close the connection).
     pub fn advance(&mut self, buf: &[u8], limits: &Limits) -> Result<ParseStatus, RequestError> {
         if self.head.is_none() {
             let max_head = limits.max_header_bytes;
@@ -373,113 +358,17 @@ fn parse_head(head: &[u8], head_end: usize, limits: &Limits) -> Result<ParsedHea
     })
 }
 
-/// Write the interim `100 Continue` response (the reactor calls this when
-/// [`ParseStatus::NeedMore`] carries `send_continue`; [`read_request`]
-/// handles it internally).
-pub fn write_continue(stream: &mut impl Write) -> std::io::Result<()> {
-    stream.write_all(CONTINUE)?;
-    stream.flush()
-}
-
-/// Read one request from `stream` (writes only the interim
-/// `100 Continue` line when the client expects one).
-///
-/// `carry` holds bytes already read past the previous request on this
-/// connection; leftover bytes beyond this request are left in it. Reads
-/// use the stream's configured read timeout as a poll granularity: on
-/// every timeout tick `abort()` is consulted — returning `true` (server
-/// shutdown, or the caller's idle/receive deadline expired) abandons the
-/// connection as [`RequestError::Closed`], so an idle or byte-trickling
-/// client cannot pin a worker forever.
-pub fn read_request<S: Read + Write>(
-    stream: &mut S,
-    carry: &mut Vec<u8>,
-    limits: &Limits,
-    abort: impl Fn() -> bool,
-) -> Result<Request, RequestError> {
-    let mut buf = std::mem::take(carry);
-    let mut parser = RequestParser::new();
-    loop {
-        match parser.advance(&buf, limits)? {
-            ParseStatus::Ready { request, consumed } => {
-                *carry = buf.split_off(consumed);
-                return Ok(request);
-            }
-            ParseStatus::NeedMore { send_continue } => {
-                if send_continue {
-                    write_continue(stream).map_err(RequestError::Io)?;
-                }
-            }
-        }
-        // with the head parsed the body length is known: read straight into
-        // the final buffer; before that, accumulate until the terminator
-        let fill = match parser.body_target() {
-            Some(target) => fill_exact(stream, &mut buf, target, &abort),
-            None => fill_until(
-                stream,
-                &mut buf,
-                |b| if find_head_end(b).is_some() || b.len() > limits.max_header_bytes {
-                    Some(())
-                } else {
-                    None
-                },
-                &abort,
-            )
-            .map(|f| match f {
-                Fill::Done(()) => Fill::Done(()),
-                Fill::Eof => Fill::Eof,
-                Fill::Aborted => Fill::Aborted,
-            }),
-        };
-        match fill.map_err(RequestError::Io)? {
-            Fill::Done(()) => {}
-            Fill::Eof if buf.is_empty() && !parser.mid_body() => {
-                return Err(RequestError::Closed)
-            }
-            Fill::Eof if parser.mid_body() => {
-                return Err(RequestError::Bad("connection closed mid-body".into()))
-            }
-            Fill::Eof => return Err(RequestError::Bad("connection closed mid-request".into())),
-            Fill::Aborted => return Err(RequestError::Closed),
-        }
-    }
-}
-
 /// Index of the `\r\n\r\n` head terminator, if present.
 pub(crate) fn find_head_end(buf: &[u8]) -> Option<usize> {
     buf.windows(4).position(|w| w == b"\r\n\r\n")
 }
 
-/// Write one fixed-length JSON response.
-pub fn write_response(
-    stream: &mut impl Write,
-    status: u16,
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    write_response_with(stream, status, "application/json", &[], body, keep_alive)
-}
-
-/// Write one fixed-length response with an explicit content type and extra
-/// headers (the log-shipping endpoints answer raw frame bytes with
+/// Encode one fixed-length response with an explicit content type and
+/// extra headers (the log-shipping endpoints answer raw frame bytes with
 /// `application/octet-stream` plus offset/generation metadata headers).
-pub fn write_response_with(
-    stream: &mut impl Write,
-    status: u16,
-    content_type: &str,
-    extra_headers: &[(String, String)],
-    body: &[u8],
-    keep_alive: bool,
-) -> std::io::Result<()> {
-    let bytes = encode_response_with(status, content_type, extra_headers, body, keep_alive);
-    stream.write_all(&bytes)?;
-    stream.flush()
-}
-
-/// Encode one fixed-length response into a byte buffer without writing it
-/// anywhere — the reactor queues these bytes on the connection's write
-/// buffer and drains them as the socket reports writability (partial
-/// writes resume where they left off).
+/// The reactor queues these bytes on the connection's write buffer and
+/// drains them as the socket reports writability (partial writes resume
+/// where they left off).
 pub fn encode_response_with(
     status: u16,
     content_type: &str,
@@ -525,48 +414,23 @@ pub fn reason(status: u16) -> &'static str {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::io::Cursor;
 
     fn limits() -> Limits {
         Limits { max_header_bytes: 1024, max_body_bytes: 64 }
     }
 
-    /// A readable script plus a capture of everything the parser writes
-    /// back (the `100 Continue` interim response).
-    struct Duplex {
-        input: Cursor<Vec<u8>>,
-        output: Vec<u8>,
-    }
-
-    impl Duplex {
-        fn new(raw: &[u8]) -> Self {
-            Self { input: Cursor::new(raw.to_vec()), output: Vec::new() }
-        }
-    }
-
-    impl Read for Duplex {
-        fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
-            self.input.read(buf)
-        }
-    }
-
-    impl Write for Duplex {
-        fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
-            self.output.extend_from_slice(buf);
-            Ok(buf.len())
-        }
-        fn flush(&mut self) -> std::io::Result<()> {
-            Ok(())
-        }
-    }
-
+    /// Parse `raw` in one [`RequestParser::advance`] call, as if every byte
+    /// had arrived at once; panics when the parser asks for more.
     fn read(raw: &[u8]) -> Result<Request, RequestError> {
-        read_request(&mut Duplex::new(raw), &mut Vec::new(), &limits(), || false)
+        match RequestParser::new().advance(raw, &limits())? {
+            ParseStatus::Ready { request, .. } => Ok(request),
+            other => panic!("expected a complete request, got {other:?}"),
+        }
     }
 
     /// Feed a raw request to [`RequestParser`] one byte at a time and
     /// return the request plus how many bytes it consumed — the reactor's
-    /// drip-fed view of the same bytes the blocking path reads at once.
+    /// drip-fed view of a slow client.
     fn parse_incremental(raw: &[u8]) -> Result<(Request, usize), RequestError> {
         let mut parser = RequestParser::new();
         let mut continues = 0usize;
@@ -586,23 +450,41 @@ mod tests {
         panic!("parser never completed on {} bytes", raw.len());
     }
 
+    /// Raw request bytes and the expected method, path, body, keep-alive.
+    type Case = (&'static [u8], Method, &'static str, &'static [u8], bool);
+
     #[test]
-    fn incremental_parse_matches_blocking_parse() {
-        let cases: &[&[u8]] = &[
-            b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n",
-            b"POST /solve HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"",
-            b"GET / HTTP/1.0\r\n\r\n",
-            b"POST /ingest HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n[]",
-            b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n",
+    fn incremental_parse_yields_the_expected_requests() {
+        let cases: &[Case] = &[
+            (b"GET /healthz HTTP/1.1\r\nHost: x\r\n\r\n", Method::Get, "/healthz", b"", true),
+            (
+                b"POST /solve HTTP/1.1\r\nContent-Length: 4\r\n\r\n{\"a\"",
+                Method::Post,
+                "/solve",
+                b"{\"a\"",
+                true,
+            ),
+            (b"GET / HTTP/1.0\r\n\r\n", Method::Get, "/", b"", false),
+            (
+                b"POST /ingest HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\n[]",
+                Method::Post,
+                "/ingest",
+                b"[]",
+                true,
+            ),
+            (b"GET / HTTP/1.1\r\nConnection: close\r\n\r\n", Method::Get, "/", b"", false),
         ];
-        for raw in cases {
-            let blocking = read(raw).expect("blocking parse");
-            let (incremental, consumed) = parse_incremental(raw).expect("incremental parse");
-            assert_eq!(incremental.method, blocking.method);
-            assert_eq!(incremental.path, blocking.path);
-            assert_eq!(incremental.body, blocking.body);
-            assert_eq!(incremental.keep_alive, blocking.keep_alive);
-            assert_eq!(consumed, raw.len(), "whole request consumed, no surplus");
+        for &(raw, method, path, body, keep_alive) in cases {
+            for (request, consumed) in [
+                parse_incremental(raw).expect("incremental parse"),
+                (read(raw).expect("one-shot parse"), raw.len()),
+            ] {
+                assert_eq!(request.method, method);
+                assert_eq!(request.path, path);
+                assert_eq!(request.body, body);
+                assert_eq!(request.keep_alive, keep_alive);
+                assert_eq!(consumed, raw.len(), "whole request consumed, no surplus");
+            }
         }
     }
 
@@ -638,7 +520,7 @@ mod tests {
             b"POST / HTTP/1.1\r\nContent-Length : 2\r\n\r\nab",
         ];
         for raw in bad {
-            let blocking = read(raw);
+            let one_shot = RequestParser::new().advance(raw, &limits()).map(|_| ());
             let incremental = (|| -> Result<(), RequestError> {
                 let mut parser = RequestParser::new();
                 for end in 0..=raw.len() {
@@ -646,7 +528,7 @@ mod tests {
                 }
                 Ok(())
             })();
-            match (&blocking, &incremental) {
+            match (&one_shot, &incremental) {
                 (Err(RequestError::Bad(a)), Err(RequestError::Bad(b))) => assert_eq!(a, b),
                 other => panic!("expected matching Bad errors, got {other:?}"),
             }
@@ -654,17 +536,7 @@ mod tests {
     }
 
     #[test]
-    fn encode_response_matches_streamed_response() {
-        let mut streamed = Vec::new();
-        write_response_with(
-            &mut streamed,
-            200,
-            "application/json",
-            &[("X-Morer-Epoch".into(), "7".into())],
-            b"{\"ok\":true}",
-            true,
-        )
-        .unwrap();
+    fn encode_response_writes_the_expected_bytes() {
         let encoded = encode_response_with(
             200,
             "application/json",
@@ -672,7 +544,11 @@ mod tests {
             b"{\"ok\":true}",
             true,
         );
-        assert_eq!(streamed, encoded);
+        assert_eq!(
+            encoded,
+            b"HTTP/1.1 200 OK\r\nContent-Type: application/json\r\nContent-Length: 11\r\n\
+              Connection: keep-alive\r\nX-Morer-Epoch: 7\r\n\r\n{\"ok\":true}"
+        );
     }
 
     #[test]
@@ -742,76 +618,100 @@ mod tests {
         }
         // a head larger than the cap is rejected rather than buffered forever
         let mut big = b"GET /x HTTP/1.1\r\nX-Pad: ".to_vec();
-        big.extend(std::iter::repeat(b'a').take(2048));
+        big.extend(std::iter::repeat_n(b'a', 2048));
         big.extend(b"\r\n\r\n");
         assert!(matches!(read(&big), Err(RequestError::Bad(_))));
-    }
-
-    #[test]
-    fn eof_before_any_byte_is_closed_mid_request_is_bad() {
-        assert!(matches!(read(b""), Err(RequestError::Closed)));
-        assert!(matches!(read(b"GET /x HT"), Err(RequestError::Bad(_))));
+        // …even before its terminator arrives
         assert!(matches!(
-            read(b"POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\nshort"),
+            RequestParser::new().advance(&big[..1500], &limits()),
             Err(RequestError::Bad(_))
         ));
     }
 
     #[test]
+    fn incomplete_input_needs_more_and_reports_mid_body() {
+        // the reactor's EOF taxonomy keys off these: an empty buffer with no
+        // parsed head is a clean close, anything else is a 400
+        for (raw, mid_body) in [
+            (&b""[..], false),
+            (&b"GET /x HT"[..], false),
+            (&b"POST /x HTTP/1.1\r\nContent-Length: 9\r\n\r\nshort"[..], true),
+        ] {
+            let mut parser = RequestParser::new();
+            assert!(matches!(
+                parser.advance(raw, &limits()),
+                Ok(ParseStatus::NeedMore { send_continue: false })
+            ));
+            assert_eq!(parser.mid_body(), mid_body, "{raw:?}");
+        }
+    }
+
+    #[test]
     fn pipelined_surplus_is_carried_to_the_next_request() {
-        let mut duplex =
-            Duplex::new(b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxxGET /b HTTP/1.1\r\n\r\n");
-        let mut carry = Vec::new();
-        let first = read_request(&mut duplex, &mut carry, &limits(), || false).unwrap();
+        let mut buf =
+            b"POST /a HTTP/1.1\r\nContent-Length: 2\r\n\r\nxxGET /b HTTP/1.1\r\n\r\n".to_vec();
+        let mut parser = RequestParser::new();
+        let mut next = || match parser.advance(&buf, &limits()).unwrap() {
+            ParseStatus::Ready { request, consumed } => {
+                buf.drain(..consumed);
+                request
+            }
+            other => panic!("expected Ready, got {other:?}"),
+        };
+        let first = next();
         assert_eq!(first.path, "/a");
         assert_eq!(first.body, b"xx");
-        let second = read_request(&mut duplex, &mut carry, &limits(), || false).unwrap();
+        let second = next();
         assert_eq!(second.path, "/b");
         assert_eq!(second.method, Method::Get);
     }
 
     #[test]
-    fn expect_100_continue_gets_the_interim_response() {
-        // head + 5000-byte body: the first 4 KiB read leaves the body
-        // incomplete when the head parses, so the interim response fires
-        // before the body read (a real expecting client — curl with a >1 KB
-        // body — would not even send the body until it arrives)
-        let mut raw =
-            b"POST /ingest HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 5000\r\n\r\n"
-                .to_vec();
-        raw.extend(std::iter::repeat(b'x').take(5000));
+    fn expect_100_continue_is_signalled_once_before_the_body() {
+        let head = b"POST /ingest HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 5000\r\n\r\n";
+        let mut raw = head.to_vec();
+        raw.extend(std::iter::repeat_n(b'x', 5000));
         let big = Limits { max_header_bytes: 1024, max_body_bytes: 10_000 };
-        let mut duplex = Duplex::new(&raw);
-        let req = read_request(&mut duplex, &mut Vec::new(), &big, || false).unwrap();
-        assert_eq!(req.body.len(), 5000);
-        assert_eq!(duplex.output, CONTINUE);
+        let mut parser = RequestParser::new();
+        // the head alone: the client holds its body back for the interim line
+        assert!(matches!(
+            parser.advance(head, &big),
+            Ok(ParseStatus::NeedMore { send_continue: true })
+        ));
+        // a partial body: the interim line was already signalled
+        assert!(matches!(
+            parser.advance(&raw[..head.len() + 100], &big),
+            Ok(ParseStatus::NeedMore { send_continue: false })
+        ));
+        match parser.advance(&raw, &big).unwrap() {
+            ParseStatus::Ready { request, consumed } => {
+                assert_eq!(request.body.len(), 5000);
+                assert_eq!(consumed, raw.len());
+            }
+            other => panic!("expected Ready, got {other:?}"),
+        }
 
         // a body already in the buffer needs no interim response
-        let mut duplex = Duplex::new(
-            b"POST /x HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nhi",
-        );
-        let req = read_request(&mut duplex, &mut Vec::new(), &limits(), || false).unwrap();
-        assert_eq!(req.body, b"hi");
-        assert!(duplex.output.is_empty());
+        let r = read(b"POST /x HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: 2\r\n\r\nhi");
+        assert_eq!(r.unwrap().body, b"hi");
 
         // unknown expectations are rejected, not silently ignored
         assert!(matches!(
             read(b"POST /x HTTP/1.1\r\nExpect: minotaur\r\nContent-Length: 0\r\n\r\n"),
             Err(RequestError::Bad(_))
         ));
+        assert_eq!(CONTINUE, b"HTTP/1.1 100 Continue\r\n\r\n");
     }
 
     #[test]
     fn responses_have_fixed_length_and_connection_header() {
-        let mut out = Vec::new();
-        write_response(&mut out, 200, b"{\"ok\":true}", true).unwrap();
+        let out = encode_response_with(200, "application/json", &[], b"{\"ok\":true}", true);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 200 OK\r\n"));
         assert!(text.contains("Content-Length: 11\r\n"));
         assert!(text.contains("Connection: keep-alive\r\n"));
         assert!(text.ends_with("\r\n\r\n{\"ok\":true}"));
-        let mut out = Vec::new();
-        write_response(&mut out, 413, b"{}", false).unwrap();
+        let out = encode_response_with(413, "application/json", &[], b"{}", false);
         let text = String::from_utf8(out).unwrap();
         assert!(text.starts_with("HTTP/1.1 413 Payload Too Large\r\n"));
         assert!(text.contains("Connection: close\r\n"));
@@ -819,10 +719,8 @@ mod tests {
 
     #[test]
     fn responses_can_carry_binary_bodies_and_extra_headers() {
-        let mut out = Vec::new();
         let extra = vec![("x-morer-generation".to_owned(), "3".to_owned())];
-        write_response_with(&mut out, 200, "application/octet-stream", &extra, &[0, 159, 7], true)
-            .unwrap();
+        let out = encode_response_with(200, "application/octet-stream", &extra, &[0, 159, 7], true);
         let head_end = find_head_end(&out).unwrap();
         let head = std::str::from_utf8(&out[..head_end]).unwrap();
         assert!(head.contains("Content-Type: application/octet-stream\r\n"));

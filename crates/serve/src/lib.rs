@@ -9,39 +9,32 @@
 //!
 //! ## Architecture
 //!
-//! Two connection cores ([`ServeBackend`]) share everything above the
-//! transport — the same resumable [`http::RequestParser`], dispatch table,
-//! single-writer ingest channel, and [`metrics::MetricsRegistry`]:
+//! One connection core serves every request: an `epoll` readiness loop
+//! over a raw `extern "C"` FFI shim (`std` already links libc; no crates
+//! needed), so the server runs on Linux only. One or more reactor threads
+//! own *every* connection as a non-blocking state machine:
+//! per-connection read buffers feed the resumable
+//! [`http::RequestParser`], responses flush with partial-write resume and
+//! backpressure, keep-alive pipelining carries surplus bytes to the next
+//! request, and a timer queue fires idle/write-stall deadlines without
+//! polling. Cheap `GET`s (`/healthz`, `/stats`, `/wal`) are answered
+//! inline on the reactor thread; `POST` bodies (`/search`, `/solve`,
+//! `/solve_batch`, `/ingest`) dispatch to a compute pool sized to the
+//! machine. An idle connection costs a slab slot and a timer entry, so
+//! thousands of parked keep-alive clients (up to
+//! [`ServeConfig::max_connections`]) stall nothing. Every thread records
+//! into one [`metrics::MetricsRegistry`].
 //!
-//! * **Reactor** (default on Linux) — an `epoll` readiness loop over a raw
-//!   `extern "C"` FFI shim (`std` already links libc; no crates needed).
-//!   One or more reactor threads own *every* connection as a non-blocking
-//!   state machine: per-connection read buffers feed the incremental
-//!   parser, responses flush with partial-write resume and backpressure,
-//!   keep-alive pipelining carries surplus bytes to the next request, and
-//!   a timer queue fires idle/write-stall deadlines without polling.
-//!   Cheap `GET`s (`/healthz`, `/stats`, `/wal`) are answered inline on
-//!   the reactor thread; `POST` bodies (`/search`, `/solve`,
-//!   `/solve_batch`, `/ingest`) dispatch to a compute pool sized to the
-//!   machine. An idle connection costs a slab slot and a timer entry, so
-//!   thousands of parked keep-alive clients (up to
-//!   [`ServeConfig::max_connections`]) stall nothing.
+//! ```text
+//! listener ──accept──▶ reactor thread(s): epoll { conn slab + timers }
+//!                        │ GET: dispatch inline       ▲ completions
+//!                        └─ POST ──▶ compute pool ────┘  (wake pipe)
+//!                                      │ /ingest
+//!                                      ▼
+//!                            single writer thread ──▶ WAL / snapshot swap
+//! ```
 //!
-//!   ```text
-//!   listener ──accept──▶ reactor thread(s): epoll { conn slab + timers }
-//!                          │ GET: dispatch inline       ▲ completions
-//!                          └─ POST ──▶ compute pool ────┘  (wake pipe)
-//!                                        │ /ingest
-//!                                        ▼
-//!                              single writer thread ──▶ WAL / snapshot swap
-//!   ```
-//!
-//! * **Threaded** (portable fallback, [`ServeBackend::Threaded`]) — a fixed
-//!   pool of [`ServeConfig::workers`] blocking threads, one connection per
-//!   worker; each idle keep-alive client pins a worker until its
-//!   [`ServeConfig::idle_timeout`].
-//!
-//! The serving contract is backend-independent:
+//! The serving contract:
 //!
 //! * **Read path** — every `/search`, `/solve` and `/solve_batch` request is
 //!   served from the current epoch-pinned `Arc<ModelSearcher>` snapshot
@@ -62,7 +55,7 @@
 //!   commit its problems were part of).
 //! * **Observability** — a flight-recorder layer built on `morer_obs`,
 //!   lock-free and allocation-free on the request path. `GET /healthz`
-//!   reports the epoch and which backend answered; `GET /stats` adds
+//!   reports the epoch and write-path health; `GET /stats` adds
 //!   per-endpoint counters split by status class plus latency quantiles
 //!   (p50/p90/p99/p999 from log-linear [`morer_obs::Histogram`]s, ≤6.25%
 //!   relative error) and connection-lifecycle gauges; `GET /metrics`
@@ -117,11 +110,10 @@
 //!
 //! With a server on `127.0.0.1:7878` (problems are the JSON form of
 //! [`morer_data::ErProblem`] — see `examples/serve_demo.rs` for a script
-//! that prints ready-made request bodies). Set `MORER_SERVE_BACKEND` to
-//! `threaded` or `reactor` to override the platform default backend:
+//! that prints ready-made request bodies):
 //!
 //! ```text
-//! # liveness, current repository epoch, and which backend is serving
+//! # liveness, current repository epoch, and durability mode
 //! curl http://127.0.0.1:7878/healthz
 //!
 //! # per-endpoint request counters (split 2xx/4xx/5xx), latency
@@ -139,7 +131,7 @@
 //! curl "http://127.0.0.1:7878/debug/trace?id=00f1e2d3c4b5a697"
 //!
 //! # park idle keep-alive connections without stalling the lines above
-//! # (reactor backend; each costs the server one slab slot + one timer)
+//! # (each costs the server one slab slot + one timer)
 //! for i in $(seq 1000); do sleep 300 | nc 127.0.0.1 7878 & done
 //!
 //! # sel_base model search: which stored model fits this problem best?
@@ -182,7 +174,7 @@ pub(crate) mod sys;
 pub mod wire;
 
 pub use client::{Connection, HttpResponse, RawResponse};
-pub use config::{ServeBackend, ServeConfig};
+pub use config::ServeConfig;
 pub use metrics::{ConnectionStats, Endpoint, EndpointStats, MetricsRegistry};
 pub use replica::{Replica, ReplicaConfig, ReplicaStatus};
 pub use server::{MorerServer, ServerHandle};

@@ -1,8 +1,8 @@
 //! Lock-free per-endpoint request metrics, stage timings and the flight
 //! recorder.
 //!
-//! The registry is the one observability hub of the server: every worker,
-//! reactor and compute thread records into it, and `GET /stats`,
+//! The registry is the one observability hub of the server: every reactor,
+//! compute and writer thread records into it, and `GET /stats`,
 //! `GET /metrics` and `GET /debug/trace` read from it. Nothing on the
 //! request path locks or allocates:
 //!
@@ -10,9 +10,8 @@
 //!   [`morer_obs::Histogram`] (four relaxed RMWs per record), so `/stats`
 //!   reports p50/p90/p99/p999 instead of a flat mean/max;
 //! * internal stages (writer queue wait, batch size, commit time, group
-//!   rounds, epoll wait, dispatch depth) get their own histograms in
-//!   [`StageMetrics`];
-//! * every request carries a [`Trace`] — a fixed-size span scratchpad —
+//!   rounds, epoll wait, dispatch depth) get their own histograms;
+//! * every request carries a trace — a fixed-size span scratchpad —
 //!   whose spans land in a bounded [`FlightRecorder`] ring when the
 //!   request finishes; requests slower than the configured threshold are
 //!   additionally copied into a separate slow ring and logged.
@@ -210,7 +209,7 @@ pub(crate) struct StageMetrics {
     pub(crate) dispatch_depth: Histogram,
 }
 
-/// The lock-free metrics registry shared by all worker threads.
+/// The lock-free metrics registry shared by every serving thread.
 pub struct MetricsRegistry {
     counters: [Counters; Endpoint::ALL.len()],
     connections: ConnGauges,
@@ -233,9 +232,8 @@ impl Default for MetricsRegistry {
     }
 }
 
-/// Connection-lifecycle gauges (both backends record them; the reactor is
-/// where they get interesting, since its open-connection count can be
-/// orders of magnitude above the thread count).
+/// Connection-lifecycle gauges (the reactor's open-connection count can be
+/// orders of magnitude above its thread count).
 ///
 /// Invariant: `accepted == rejected + <connections ever opened>`, and
 /// every opened connection is eventually matched by one
@@ -349,17 +347,6 @@ impl MetricsRegistry {
     /// The raw latency histogram of one endpoint (Prometheus exposition).
     pub(crate) fn latency(&self, endpoint: Endpoint) -> &Histogram {
         &self.counters[endpoint.index()].latency
-    }
-
-    /// Record an accepted connection now being served, with no cap
-    /// (threaded backend: the worker pool itself is the cap). Returns the
-    /// open count *after* this connection.
-    pub fn conn_opened(&self) -> u64 {
-        let c = &self.connections;
-        c.accepted.fetch_add(1, Ordering::Relaxed);
-        let open = c.open.fetch_add(1, Ordering::Relaxed) + 1;
-        c.peak.fetch_max(open, Ordering::Relaxed);
-        open
     }
 
     /// Record an accepted connection *if* the open count is below `cap`:
@@ -490,8 +477,8 @@ pub struct EndpointStats {
 }
 
 /// Connection-lifecycle gauge snapshot, as reported by `GET /stats`.
-/// `accepted == rejected +` (connections that were actually opened);
-/// see [`ConnGauges`].
+/// `accepted == rejected +` (connections that were actually opened), and
+/// rejected connections never touch `open` or `peak`.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ConnectionStats {
     /// Connections currently being served.
@@ -502,8 +489,7 @@ pub struct ConnectionStats {
     /// Connections accepted from the listener (including ones rejected
     /// over the cap before being served).
     pub accepted: u64,
-    /// Connections refused because `max_connections` was reached
-    /// (reactor backend).
+    /// Connections refused because `max_connections` was reached.
     pub rejected: u64,
     /// Connections disconnected at their idle/receive deadline.
     pub idle_reaped: u64,
@@ -526,18 +512,15 @@ mod tests {
         m.conn_idle_reaped();
         m.conn_closed();
         m.conn_closed();
-        // the uncapped (threaded-backend) open still tracks accept/peak
-        assert_eq!(m.conn_opened(), 1);
-        m.conn_closed();
         let s = m.connection_stats();
         assert_eq!(s.open, 0);
         assert_eq!(s.peak, 2);
-        assert_eq!(s.accepted, 5);
+        assert_eq!(s.accepted, 4);
         assert_eq!(s.rejected, 1);
         assert_eq!(s.idle_reaped, 1);
         // the documented invariant: every accept was either rejected or
         // opened (and all opened ones closed by now)
-        assert_eq!(s.accepted, s.rejected + 4);
+        assert_eq!(s.accepted, s.rejected + 3);
         assert_eq!(m.open_connections(), 0);
         let json = serde_json::to_string(&s).unwrap();
         let back: ConnectionStats = serde_json::from_str(&json).unwrap();

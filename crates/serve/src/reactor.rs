@@ -1,5 +1,5 @@
-//! The readiness-reactor backend: event-driven connection handling for
-//! thousands of concurrent keep-alive clients on a handful of threads.
+//! The readiness reactor: event-driven connection handling for thousands
+//! of concurrent keep-alive clients on a handful of threads.
 //!
 //! ## Architecture
 //!
@@ -23,8 +23,8 @@
 //!   read buffer feeding a resumable [`RequestParser`], a write buffer
 //!   with partial-write resume, and an idle deadline in a timer queue.
 //!   Between events a connection costs one slab slot — no thread, no
-//!   stack — which is what moves the concurrency ceiling from `workers`
-//!   to [`crate::ServeConfig::max_connections`].
+//!   stack — so the concurrency ceiling is
+//!   [`crate::ServeConfig::max_connections`], not a thread count.
 //! * **Cheap GETs inline**: `/healthz`, `/stats` and the `/wal` shipping
 //!   endpoints are answered on the reactor thread itself — two thread
 //!   hops would triple the ~12 µs protocol floor.
@@ -41,16 +41,13 @@
 //!   entry whose connection has a later deadline — it was re-armed by a
 //!   request — just re-pushes). `epoll_wait`'s timeout is the earliest
 //!   pending deadline; an all-idle server sleeps indefinitely.
-//! * **Shutdown** mirrors the threaded backend's grace: a flag plus a
-//!   doorbell wake; idle connections close at once, busy/flushing ones
-//!   finish their in-flight request first, then reactors drop their job
-//!   senders, the pool drains, and the writer exits last.
-//!
-//! Protocol behavior is deliberately bit-for-bit the threaded backend's:
-//! the same parser, the same dispatch table, the same error envelopes,
-//! and the same post-4xx half-close drain (see `drain_briefly` in
-//! `server.rs`) so a buffered error response survives the client's
-//! in-flight body instead of being destroyed by an RST.
+//! * **Shutdown** is graceful: a flag plus a doorbell wake; idle
+//!   connections close at once, busy/flushing ones finish their in-flight
+//!   request first, then reactors drop their job senders, the pool
+//!   drains, and the writer exits last.
+//! * **Post-4xx drain**: after a protocol error the write half is shut and
+//!   the client's in-flight body is discarded for [`DRAIN_WINDOW`], so
+//!   the buffered error response is read instead of destroyed by an RST.
 
 #![cfg(target_os = "linux")]
 
@@ -67,7 +64,9 @@ use std::time::{Duration, Instant};
 use crate::config::ServeConfig;
 use crate::http::{self, Method, ParseStatus, Request, RequestError, RequestParser};
 use crate::metrics::Endpoint;
-use crate::server::{dispatch, plain_error, IngestJob, Reply, ServerState, TRACE_HEADER};
+use crate::server::{
+    dispatch, plain_error, IngestJob, Reply, ServeCore, ServerState, TRACE_HEADER,
+};
 use crate::sys::{Epoll, EpollEvent, WakePipe, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
 /// Token of the shared listener in every reactor's epoll set.
@@ -82,11 +81,16 @@ const READ_CHUNK: usize = 16 << 10;
 const MAX_READS_PER_EVENT: usize = 16;
 
 /// How long a connection may sit in `Flush` without the socket accepting
-/// bytes before it is declared stalled and dropped (mirrors the threaded
-/// backend's 10 s write timeout).
+/// bytes before it is declared stalled and dropped.
 const WRITE_STALL: Duration = Duration::from_secs(10);
 
-/// The post-4xx drain window (mirrors `drain_briefly`).
+/// How long a connection stays `Draining` after a 4xx. The error response
+/// closes the connection with the client's body possibly still in flight
+/// (a 413 is sent before the body is read at all). Closing a socket with
+/// unread data in its receive buffer makes the kernel send RST, which can
+/// destroy the buffered error response before the client reads it — so
+/// the write half is shut and arriving bytes are discarded until the
+/// client closes or this window ends.
 const DRAIN_WINDOW: Duration = Duration::from_millis(250);
 
 /// One dispatched POST request in flight on the compute pool.
@@ -168,7 +172,7 @@ struct Conn {
     out_pos: usize,
     /// Current deadline (idle, write-stall or drain-window depending on
     /// `lifecycle`); `None` while `Busy` — request *processing* time is
-    /// not bounded here, matching the threaded backend.
+    /// not bounded, only the time to receive and to flush.
     deadline: Option<Instant>,
     /// Earliest timer-heap entry known to exist for this connection
     /// (lazy-revalidation bookkeeping; see [`Timers`]).
@@ -271,22 +275,16 @@ struct Reactor {
     winding_down: bool,
 }
 
-/// Handles to a running reactor backend (reactor threads + compute pool),
-/// plus the doorbells the server handle rings at shutdown.
-pub(crate) struct BackendThreads {
-    pub(crate) threads: Vec<JoinHandle<()>>,
-    pub(crate) bells: Vec<Arc<Doorbell>>,
-}
-
-/// Spawn `config.reactors` event loops plus the compute pool. Mirrors
-/// `spawn_workers`' contract: on any spawn failure everything already
-/// started is shut down and joined before the error returns.
+/// Spawn `config.reactors` event loops plus the compute pool. On any spawn
+/// failure everything already started is shut down and joined before the
+/// error returns — a partial server must not keep serving a port the
+/// caller believes never started.
 pub(crate) fn spawn_reactors(
     listener: &TcpListener,
     state: &Arc<ServerState>,
     ingest_tx: &SyncSender<IngestJob>,
     config: &ServeConfig,
-) -> Result<BackendThreads, std::io::Error> {
+) -> Result<ServeCore, std::io::Error> {
     let reactors = config.reactors.max(1);
     let compute = if config.compute_threads == 0 {
         std::thread::available_parallelism().map_or(2, |p| p.get()).max(2)
@@ -296,8 +294,8 @@ pub(crate) fn spawn_reactors(
     let (job_tx, job_rx) = mpsc::channel::<Job>();
     let job_rx = Arc::new(Mutex::new(job_rx));
 
-    let mut handles = BackendThreads { threads: Vec::new(), bells: Vec::new() };
-    let abort = |state: &Arc<ServerState>, handles: BackendThreads, err: std::io::Error| {
+    let mut handles = ServeCore { threads: Vec::new(), bells: Vec::new() };
+    let abort = |state: &Arc<ServerState>, handles: ServeCore, err: std::io::Error| {
         state.shutdown.store(true, Ordering::Release);
         for bell in &handles.bells {
             bell.ring();
@@ -368,9 +366,9 @@ pub(crate) fn spawn_reactors(
     Ok(handles)
 }
 
-/// One compute-pool thread: pull a job, dispatch it (the same routing,
-/// validation and `catch_unwind` envelope as the threaded backend),
-/// encode the response, ring the owning reactor's doorbell.
+/// One compute-pool thread: pull a job, dispatch it (a handler panic
+/// answers 500 and closes that connection; the thread lives on), encode
+/// the response, ring the owning reactor's doorbell.
 fn compute_loop(
     job_rx: &Arc<Mutex<Receiver<Job>>>,
     state: &Arc<ServerState>,
@@ -452,8 +450,7 @@ impl Reactor {
 
     /// Shutdown observed: stop accepting, close idle connections, let
     /// busy/flushing ones finish their in-flight request (the writer is
-    /// still alive to answer in-flight `/ingest`, exactly like the
-    /// threaded pool's per-connection grace).
+    /// still alive to answer in-flight `/ingest`).
     fn begin_winding_down(&mut self) {
         self.winding_down = true;
         let _ = self.epoll.delete(self.listener.as_raw_fd());
@@ -693,8 +690,8 @@ impl Reactor {
                 }
                 let Some(conn) = self.slab.conns[slot].as_mut() else { return false };
                 if conn.peer_closed {
-                    // mirror read_request's EOF taxonomy: clean close
-                    // between requests, 400 mid-request/mid-body
+                    // EOF taxonomy: clean close between requests, 400
+                    // mid-request/mid-body
                     if conn.buf.is_empty() && !conn.parser.mid_body() {
                         self.close(slot);
                         return false;
@@ -728,11 +725,6 @@ impl Reactor {
                             ),
                         ),
                     ),
-                    // advance() is pure — Closed/Io cannot come from it
-                    RequestError::Closed | RequestError::Io(_) => {
-                        self.close(slot);
-                        return false;
-                    }
                 };
                 self.state.metrics.record(Endpoint::Other, Duration::ZERO, status);
                 self.queue_reply(slot, status, body.into_bytes(), false, true);

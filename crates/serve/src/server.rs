@@ -1,20 +1,20 @@
-//! The server: a fixed pool of connection workers over one shared
-//! `TcpListener` (the read path), a single writer thread owning the
-//! [`Morer`] pipeline (the write path), and a snapshot slot connecting the
-//! two.
+//! The server: epoll reactors plus a compute pool over one shared
+//! `TcpListener` (the read path, see the `reactor` module), a single writer
+//! thread owning the [`Morer`] pipeline (the write path), and a snapshot
+//! slot connecting the two.
 //!
 //! ## Concurrency architecture
 //!
 //! ```text
-//!  client ──► worker 0 ──┐ clone Arc  ┌──────────────────────────┐
-//!  client ──► worker 1 ──┼───────────►│ Mutex<Arc<ModelSearcher>>│  read path
-//!  client ──► worker .. ─┘            └────────────▲─────────────┘
-//!                │ /ingest jobs                    │ swap per commit
-//!                ▼                                 │
-//!        bounded mpsc channel ──► writer thread (owns Morer)       write path
+//!  clients ═► reactor ─► compute ──┐ clone Arc ┌──────────────────────────┐
+//!                     ─► compute ──┼──────────►│ Mutex<Arc<ModelSearcher>>│ read path
+//!                     ─► compute ──┘           └────────────▲─────────────┘
+//!                          │ /ingest jobs                   │ swap per commit
+//!                          ▼                                │
+//!              bounded mpsc channel ──► writer thread (owns Morer)    write path
 //! ```
 //!
-//! * Workers never hold the snapshot lock across a solve: they clone the
+//! * Readers never hold the snapshot lock across a solve: they clone the
 //!   `Arc` and serve from that epoch, so a commit never blocks a reader
 //!   and a reader never observes a half-updated repository.
 //! * The writer drains every queued ingest job before committing, so
@@ -39,10 +39,10 @@
 //!   per job with a typed 400 (and [`Morer::add_problems`] itself rejects
 //!   them with [`MorerError::InvalidProblem`] as a second line), and
 //!   dispatch runs under `catch_unwind` as a last line of defense (a panic
-//!   answers 500 and closes the connection; the worker lives on).
-//! * Shutdown is cooperative: the listener is non-blocking and workers
-//!   poll a flag between accepts and on read timeouts; the ingest channel
-//!   closes when the last worker exits, which ends the writer.
+//!   answers 500 and closes the connection; the thread lives on).
+//! * Shutdown is cooperative: a flag plus a doorbell wakeup per reactor;
+//!   the ingest channel closes when the last reactor and compute thread
+//!   exit, which ends the writer.
 //! * Durability is opt-in ([`ServeConfig::wal_dir`]): the writer commits
 //!   through an attached write-ahead log, and because the log append and
 //!   its fsync (under [`morer_core::wal::Durability::Fsync`]) happen
@@ -56,7 +56,7 @@
 //!   whenever the follower's generation or offset no longer matches the
 //!   log (leader restart, compaction mid-tail).
 
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::net::{SocketAddr, TcpListener};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, SyncSender};
@@ -66,8 +66,8 @@ use std::time::{Duration, Instant};
 
 use serde::Deserialize;
 
-use crate::config::{ServeBackend, ServeConfig};
-use crate::http::{self, Method, Request, RequestError};
+use crate::config::ServeConfig;
+use crate::http::{Method, Request};
 use crate::metrics::{
     stage_name, Endpoint, EndpointStats, MetricsRegistry, Trace, STAGE_DECODE, STAGE_ENCODE,
     STAGE_SEARCH, STAGE_SOLVE, STAGE_WRITER_WAIT,
@@ -120,7 +120,7 @@ struct Published {
     searcher: Arc<ModelSearcher>,
 }
 
-/// State shared by every worker/reactor thread, the writer and the
+/// State shared by every reactor and compute thread, the writer and the
 /// handle.
 pub(crate) struct ServerState {
     /// The epoch-pinned read snapshot (plus its epoch), swapped — never
@@ -149,9 +149,6 @@ pub(crate) struct ServerState {
     /// snapshot, `/ingest` answers `503`, `/healthz` reports the
     /// [`crate::replica::ReplicaStatus`].
     replica: Option<Arc<ReplicaCore>>,
-    /// Which connection core serves this instance ([`ServeBackend::label`];
-    /// reported by `/healthz`).
-    backend: &'static str,
     /// The pipeline's write-ahead-log meters (append/fsync/compact
     /// timings, recovery counters). The `Arc` outlives any WAL repair or
     /// replacement, so `/metrics` series stay continuous; in replica mode
@@ -231,8 +228,8 @@ impl MorerServer {
             }
         }
         let listener = TcpListener::bind(config.addr.as_str())?;
-        // workers poll accept() cooperatively (see worker_loop): shutdown
-        // must not depend on being able to connect to the bound address
+        // reactors register the listener with epoll and accept until
+        // WouldBlock; shutdown is a doorbell wakeup, never a self-connect
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
         let snapshot = morer.snapshot();
@@ -245,7 +242,6 @@ impl MorerServer {
             durability: Mutex::new(morer.durability()),
             wal_dir: morer.wal_dir(),
             replica: None,
-            backend: config.backend.label(),
             // captured once: Morer re-injects this Arc into any repaired
             // or replaced Wal, so the meters survive `repair_wal`
             wal_obs: morer.wal_obs(),
@@ -308,7 +304,6 @@ impl MorerServer {
             durability: Mutex::new(None),
             wal_dir: None,
             replica: Some(replica_core),
-            backend: config.backend.label(),
             // a replica has no local WAL: zero meters keep /metrics stable
             wal_obs: Arc::new(WalObs::default()),
         });
@@ -321,71 +316,33 @@ impl MorerServer {
     }
 }
 
-/// The running connection core: the spawned threads plus (reactor backend)
+/// The running connection core: the reactor and compute-pool threads plus
 /// the doorbells shutdown rings to pop reactors out of `epoll_wait`.
-struct ServeCore {
-    threads: Vec<JoinHandle<()>>,
+pub(crate) struct ServeCore {
+    pub(crate) threads: Vec<JoinHandle<()>>,
     #[cfg(target_os = "linux")]
-    bells: Vec<Arc<crate::reactor::Doorbell>>,
+    pub(crate) bells: Vec<Arc<crate::reactor::Doorbell>>,
 }
 
-/// Spawn the configured backend's threads over the shared listener.
+/// Spawn the reactor threads and compute pool over the shared listener.
 fn spawn_backend(
     listener: &TcpListener,
     state: &Arc<ServerState>,
     ingest_tx: &SyncSender<IngestJob>,
     config: &ServeConfig,
 ) -> Result<ServeCore, std::io::Error> {
-    match config.backend {
-        ServeBackend::Threaded => Ok(ServeCore {
-            threads: spawn_workers(listener, state, ingest_tx, config)?,
-            #[cfg(target_os = "linux")]
-            bells: Vec::new(),
-        }),
-        #[cfg(target_os = "linux")]
-        ServeBackend::Reactor => {
-            let backend = crate::reactor::spawn_reactors(listener, state, ingest_tx, config)?;
-            Ok(ServeCore { threads: backend.threads, bells: backend.bells })
-        }
-        #[cfg(not(target_os = "linux"))]
-        ServeBackend::Reactor => Err(std::io::Error::new(
+    #[cfg(target_os = "linux")]
+    {
+        crate::reactor::spawn_reactors(listener, state, ingest_tx, config)
+    }
+    #[cfg(not(target_os = "linux"))]
+    {
+        let _ = (listener, state, ingest_tx, config);
+        Err(std::io::Error::new(
             std::io::ErrorKind::Unsupported,
-            "reactor backend requires Linux (epoll)",
-        )),
+            "the serve reactor requires Linux (epoll)",
+        ))
     }
-}
-
-/// Spawn the worker pool. On a spawn failure the already-running workers
-/// are shut down and joined before the error returns — a partial server
-/// must not keep serving a port the caller believes never started.
-fn spawn_workers(
-    listener: &TcpListener,
-    state: &Arc<ServerState>,
-    ingest_tx: &SyncSender<IngestJob>,
-    config: &ServeConfig,
-) -> Result<Vec<JoinHandle<()>>, std::io::Error> {
-    let mut workers = Vec::with_capacity(config.workers.max(1));
-    for i in 0..config.workers.max(1) {
-        let spawned = listener.try_clone().and_then(|listener| {
-            let state = Arc::clone(state);
-            let ingest_tx = ingest_tx.clone();
-            let config = config.clone();
-            std::thread::Builder::new()
-                .name(format!("morer-serve-worker-{i}"))
-                .spawn(move || worker_loop(&listener, &state, &ingest_tx, &config))
-        });
-        match spawned {
-            Ok(worker) => workers.push(worker),
-            Err(e) => {
-                state.shutdown.store(true, Ordering::Release);
-                for worker in workers {
-                    let _ = worker.join();
-                }
-                return Err(e);
-            }
-        }
-    }
-    Ok(workers)
 }
 
 /// Handle to a running server: address introspection and graceful
@@ -423,8 +380,8 @@ impl ServerHandle {
         self.replica.as_ref()
     }
 
-    /// Gracefully stop the server: in-flight requests finish, every worker
-    /// and the writer thread are joined. Queued ingest jobs still commit
+    /// Gracefully stop the server: in-flight requests finish, every reactor,
+    /// compute thread and the writer thread are joined. Queued ingest jobs still commit
     /// before the writer exits; a fronted replica stops tailing.
     pub fn shutdown(mut self) {
         self.stop();
@@ -438,10 +395,9 @@ impl ServerHandle {
         for bell in &self.core.bells {
             bell.ring();
         }
-        // threaded workers poll the flag between accepts and on read
-        // timeouts, so each exits within ~poll_interval; reactors finish
-        // in-flight requests, then exit. Either way the last backend
-        // thread drops the final ingest sender, which ends the writer
+        // reactors finish in-flight requests, then exit; the compute pool
+        // drains behind them and its last thread drops the final ingest
+        // sender, which ends the writer
         for thread in self.core.threads.drain(..) {
             let _ = thread.join();
         }
@@ -457,6 +413,15 @@ impl ServerHandle {
 impl Drop for ServerHandle {
     fn drop(&mut self) {
         self.stop();
+    }
+}
+
+/// Flip the write path to degraded, counting the healthy → degraded edge
+/// (`morer_writer_degraded_transitions_total`). Repair flips back via a
+/// plain store; only the downward edge is a counted event.
+fn mark_degraded(state: &ServerState) {
+    if state.writer_alive.swap(false, Ordering::Release) {
+        state.metrics.stages().degraded_transitions.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -484,15 +449,6 @@ impl Drop for ServerHandle {
 /// whole micro-batch with one typed error, but the pre-partition keeps the
 /// rejection per job, so a well-formed request still commits when it was
 /// batched alongside a bad one.
-/// Flip the write path to degraded, counting the healthy → degraded edge
-/// (`morer_writer_degraded_transitions_total`). Repair flips back via a
-/// plain store; only the downward edge is a counted event.
-fn mark_degraded(state: &ServerState) {
-    if state.writer_alive.swap(false, Ordering::Release) {
-        state.metrics.stages().degraded_transitions.fetch_add(1, Ordering::Relaxed);
-    }
-}
-
 fn writer_loop(
     mut morer: Morer,
     rx: Receiver<IngestJob>,
@@ -698,165 +654,6 @@ fn writer_loop(
     }
 }
 
-/// One connection-accepting worker. The shared listener is non-blocking:
-/// workers poll `accept` at [`ServeConfig::poll_interval`] granularity, so
-/// shutdown needs no self-connection trick (which would hang on wildcard
-/// binds) and a persistent accept failure (e.g. fd exhaustion) backs off
-/// instead of spinning.
-fn worker_loop(
-    listener: &TcpListener,
-    state: &ServerState,
-    ingest_tx: &SyncSender<IngestJob>,
-    config: &ServeConfig,
-) {
-    let poll = config.poll_interval.max(Duration::from_millis(1));
-    loop {
-        if state.shutdown.load(Ordering::Acquire) {
-            return;
-        }
-        let stream = match listener.accept() {
-            Ok((stream, _)) => stream,
-            Err(e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                std::thread::sleep(poll);
-                continue;
-            }
-            Err(_) => {
-                std::thread::sleep(poll);
-                continue;
-            }
-        };
-        // accepted sockets may inherit non-blocking mode on some platforms;
-        // connection handling relies on blocking reads with a timeout
-        state.metrics.conn_opened();
-        if stream.set_nonblocking(false).is_err() {
-            state.metrics.conn_closed();
-            continue;
-        }
-        handle_connection(stream, state, ingest_tx, config);
-        state.metrics.conn_closed();
-    }
-}
-
-/// Serve one (possibly keep-alive) connection until it closes, errors, or
-/// shutdown is requested. Protocol errors answer with a typed 4xx and
-/// close the connection — they never take the worker down.
-fn handle_connection(
-    mut stream: TcpStream,
-    state: &ServerState,
-    ingest_tx: &SyncSender<IngestJob>,
-    config: &ServeConfig,
-) {
-    let poll = config.poll_interval.max(Duration::from_millis(1));
-    if stream.set_read_timeout(Some(poll)).is_err()
-        || stream.set_write_timeout(Some(Duration::from_secs(10))).is_err()
-        || stream.set_nodelay(true).is_err()
-    {
-        return;
-    }
-    let limits = http::Limits {
-        max_header_bytes: config.max_header_bytes,
-        max_body_bytes: config.max_body_bytes,
-    };
-    let mut carry = Vec::new();
-    loop {
-        // per-request receive deadline: an idle or byte-trickling client is
-        // disconnected after idle_timeout instead of pinning this worker
-        let deadline = Instant::now() + config.idle_timeout;
-        let abort = || state.shutdown.load(Ordering::Acquire) || Instant::now() >= deadline;
-        match http::read_request(&mut stream, &mut carry, &limits, abort) {
-            Ok(request) => {
-                let mut keep_alive =
-                    request.keep_alive && !state.shutdown.load(Ordering::Acquire);
-                let started = Instant::now();
-                let mut trace = state.metrics.begin_trace();
-                // last line of defense behind decode-time validation: a
-                // handler panic answers 500 and closes this connection
-                // instead of silently shrinking the worker pool (dispatch
-                // only reads shared state, so continuing is safe)
-                let mut reply = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                    dispatch(&request, state, ingest_tx, &mut trace)
-                }))
-                .unwrap_or_else(|_| {
-                    keep_alive = false;
-                    Reply::json(
-                        500,
-                        plain_error("internal", "request handler panicked"),
-                        Endpoint::Other,
-                    )
-                });
-                reply.headers.push((TRACE_HEADER.to_owned(), trace.id_hex()));
-                state.metrics.finish_trace(&mut trace, reply.endpoint, reply.status, started);
-                if http::write_response_with(
-                    &mut stream,
-                    reply.status,
-                    reply.content_type,
-                    &reply.headers,
-                    &reply.body,
-                    keep_alive,
-                )
-                .is_err()
-                    || !keep_alive
-                {
-                    return;
-                }
-            }
-            Err(RequestError::Closed) => {
-                // distinguish "reaped at the receive deadline" from client
-                // closes and shutdown for the connection gauges
-                if Instant::now() >= deadline && !state.shutdown.load(Ordering::Acquire) {
-                    state.metrics.conn_idle_reaped();
-                }
-                return;
-            }
-            Err(RequestError::Io(_)) => return,
-            Err(RequestError::Bad(msg)) => {
-                state.metrics.record(Endpoint::Other, Duration::ZERO, 400);
-                let body = plain_error("bad_request", &msg);
-                if http::write_response(&mut stream, 400, body.as_bytes(), false).is_ok() {
-                    drain_briefly(&mut stream);
-                }
-                return;
-            }
-            Err(RequestError::TooLarge { declared, max }) => {
-                state.metrics.record(Endpoint::Other, Duration::ZERO, 413);
-                let body = plain_error(
-                    "payload_too_large",
-                    &format!("declared body of {declared} bytes exceeds the {max} byte limit"),
-                );
-                if http::write_response(&mut stream, 413, body.as_bytes(), false).is_ok() {
-                    drain_briefly(&mut stream);
-                }
-                return;
-            }
-        }
-    }
-}
-
-/// After answering a protocol error the connection closes with the
-/// client's body possibly still in flight (a 413 is sent before the body
-/// is read at all). Dropping the socket with unread data in the receive
-/// buffer makes the kernel send RST, which can destroy the buffered error
-/// response before the client reads it — so shut down the write half and
-/// briefly drain/discard what is arriving until the client closes.
-fn drain_briefly(stream: &mut TcpStream) {
-    use std::io::Read;
-    let _ = stream.shutdown(std::net::Shutdown::Write);
-    let deadline = Instant::now() + Duration::from_millis(250);
-    let mut tmp = [0u8; 4096];
-    while Instant::now() < deadline {
-        match stream.read(&mut tmp) {
-            Ok(0) => break, // client saw the response and closed its half
-            Ok(_) => {}     // discard in-flight body bytes
-            Err(e)
-                if matches!(
-                    e.kind(),
-                    std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-                ) => {}
-            Err(_) => break,
-        }
-    }
-}
-
 /// A routed response: status, binary body, content type, extra headers
 /// (the `/wal` shipping metadata) and the metrics endpoint it counts
 /// against.
@@ -976,7 +773,6 @@ fn healthz(state: &ServerState) -> Reply {
     let wal = state.durability();
     let body = HealthResponse {
         status: state.health().to_owned(),
-        backend: state.backend.to_owned(),
         epoch: published.epoch,
         models: published.searcher.num_models(),
         durability: wal
@@ -1368,7 +1164,7 @@ fn decode<T: Deserialize>(body: &[u8]) -> Result<T, MorerError> {
 
 /// Decode one problem and check the invariants the pipeline's inner loops
 /// index on — a well-typed but inconsistent body (labels shorter than
-/// pairs, say) must be a 400, not a panic in a worker thread.
+/// pairs, say) must be a 400, not a panic in a compute thread.
 fn decode_problem(body: &[u8]) -> Result<ErProblem, MorerError> {
     let problem: ErProblem = decode(body)?;
     problem.validate().map_err(MorerError::InvalidProblem)?;

@@ -20,10 +20,6 @@ pub struct HealthResponse {
     /// replica mode — while the leader is unreachable (reads keep serving
     /// the last applied epoch).
     pub status: String,
-    /// The connection core serving this instance:
-    /// [`crate::config::ServeBackend::label`] (`"threaded"` or
-    /// `"reactor"`).
-    pub backend: String,
     /// The committed repository epoch the read path currently serves.
     pub epoch: u64,
     /// Number of stored models (= repository entries).
@@ -183,7 +179,6 @@ mod tests {
     fn health_and_stats_round_trip() {
         let h = HealthResponse {
             status: "ok".into(),
-            backend: "reactor".into(),
             epoch: 3,
             models: 2,
             durability: "fsync".into(),

@@ -43,8 +43,6 @@ fn config() -> MorerConfig {
 
 fn serve_config(wal_dir: Option<PathBuf>) -> ServeConfig {
     ServeConfig {
-        workers: 2,
-        poll_interval: Duration::from_millis(10),
         wal_dir,
         durability: Durability::Fsync,
         compact_every: 0,

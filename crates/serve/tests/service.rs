@@ -2,13 +2,10 @@
 //! concurrent clients must get solve results bit-identical to direct
 //! `ModelSearcher` calls, ingest-during-read must show monotone epochs and
 //! no torn responses, and malformed/oversized/unknown-route requests must
-//! map to typed 4xx responses without killing the worker that answered.
+//! map to typed 4xx responses without killing the thread that answered.
+//! Transport edge cases (`Expect: 100-continue`, pipelining, half-close
+//! mid-body, hostile JSON nesting) are driven over raw sockets.
 //!
-//! The whole suite is backend-parameterized: servers start on
-//! [`ServeBackend::default`], which honors `MORER_SERVE_BACKEND`
-//! (`threaded` / `reactor`), so CI runs one binary against both
-//! connection cores. `cross_backend_solves_are_bit_identical` additionally
-//! pins both backends explicitly in a single run, whatever the env says.
 //! Every client connects through [`Connection::open_timeout`] — a stalled
 //! server under test must fail an assertion, not hang CI forever.
 
@@ -23,8 +20,7 @@ use morer_data::ErProblem;
 use morer_ml::dataset::FeatureMatrix;
 use morer_ml::model::ModelConfig;
 use morer_serve::{
-    Connection, ErrorEnvelope, HealthResponse, MorerServer, ServeBackend, ServeConfig,
-    StatsResponse,
+    Connection, ErrorEnvelope, HealthResponse, MorerServer, ServeConfig, StatsResponse,
 };
 
 fn config() -> MorerConfig {
@@ -41,14 +37,6 @@ fn built_morer() -> Morer {
         (0..6).map(|i| family_problem(i, (i >= 3) as u8, 120)).collect();
     let refs: Vec<&ErProblem> = problems.iter().collect();
     Morer::build(refs, &config()).0
-}
-
-fn serve_config() -> ServeConfig {
-    ServeConfig {
-        workers: 3,
-        poll_interval: Duration::from_millis(10),
-        ..ServeConfig::default()
-    }
 }
 
 /// Open a test client with a receive/send deadline: a stalled server
@@ -68,7 +56,7 @@ fn assert_outcomes_equal(a: &SolveOutcome, b: &SolveOutcome, context: &str) {
 fn health_and_stats_report_server_state() {
     let morer = built_morer();
     let models = morer.num_models();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let mut conn = connect(handle.addr());
 
     let res = conn.get("/healthz").unwrap();
@@ -101,7 +89,7 @@ fn health_and_stats_report_server_state() {
 fn concurrent_clients_get_solves_bit_identical_to_in_process() {
     let morer = built_morer();
     let searcher = morer.searcher().clone();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
 
     let queries: Vec<ErProblem> = (0..6)
         .map(|i| family_problem(100 + i, (i % 2) as u8, 80))
@@ -143,7 +131,7 @@ fn concurrent_clients_get_solves_bit_identical_to_in_process() {
 fn search_and_solve_batch_match_the_searcher_api() {
     let morer = built_morer();
     let searcher = morer.searcher().clone();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let mut conn = connect(handle.addr());
 
     let q = family_problem(200, 0, 80);
@@ -177,7 +165,7 @@ fn ingest_commits_a_new_epoch_and_the_read_path_serves_it() {
     // a twin writer replays the same ingest in-process: the server's
     // committed state must match it bit-for-bit
     let mut twin = morer.clone();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let epoch_before = handle.epoch();
     let mut conn = connect(handle.addr());
 
@@ -220,7 +208,7 @@ fn readers_stay_consistent_while_ingest_commits() {
     let morer = built_morer();
     let pre = morer.searcher().clone();
     let mut twin = morer.clone();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
 
     let q = family_problem(400, 1, 100);
     let q_body = serde_json::to_string(&q).unwrap();
@@ -321,7 +309,7 @@ fn readers_stay_consistent_while_ingest_commits() {
 fn concurrent_ingests_partition_into_commits() {
     let morer = built_morer();
     let base_epoch = morer.epoch();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let n_clients = 4;
     let addr = handle.addr();
     let reports: Vec<IngestReport> = std::thread::scope(|scope| {
@@ -360,7 +348,7 @@ fn protocol_errors_are_typed_4xx_and_never_kill_the_worker() {
     let morer = built_morer();
     let handle = MorerServer::start(
         morer,
-        &ServeConfig { max_body_bytes: 4096, ..serve_config() },
+        &ServeConfig { max_body_bytes: 4096, ..ServeConfig::default() },
     )
     .unwrap();
     let addr = handle.addr();
@@ -406,7 +394,7 @@ fn protocol_errors_are_typed_4xx_and_never_kill_the_worker() {
     assert_eq!(res.status, 400);
     assert!(!res.keep_alive);
 
-    // all workers survived the abuse: fresh connections still served, and
+    // the server survived the abuse: fresh connections still served, and
     // the error counters saw every 4xx
     let mut conn = connect(addr);
     let res = conn.get("/stats").unwrap();
@@ -421,12 +409,12 @@ fn protocol_errors_are_typed_4xx_and_never_kill_the_worker() {
 
 /// Well-typed but internally inconsistent problems (the pipeline's inner
 /// loops index on cross-field invariants) and feature-space mismatches
-/// must be 400s — never panics that kill a read worker or, worse, the
+/// must be 400s — never panics that kill a serving thread or, worse, the
 /// single writer thread.
 #[test]
 fn inconsistent_and_mismatched_problems_are_rejected_without_killing_threads() {
     let morer = built_morer(); // scores 2 features
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let mut conn = connect(handle.addr());
 
     // labels shorter than pairs (constructible: the fields are public) —
@@ -494,7 +482,7 @@ fn inconsistent_and_mismatched_problems_are_rejected_without_killing_threads() {
 #[test]
 fn empty_repository_serves_typed_404_search_and_degraded_solve() {
     let morer = Morer::from_repository(ModelRepository::default(), &config());
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let mut conn = connect(handle.addr());
     let q = family_problem(600, 0, 60);
     let body = serde_json::to_string(&q).unwrap();
@@ -529,7 +517,7 @@ fn acknowledged_durable_ingests_survive_a_simulated_kill() {
         let _ = std::fs::remove_dir_all(d);
         std::fs::create_dir_all(d).unwrap();
     }
-    let cfg = ServeConfig { wal_dir: Some(dir.clone()), ..serve_config() };
+    let cfg = ServeConfig { wal_dir: Some(dir.clone()), ..ServeConfig::default() };
     let handle = MorerServer::start(built_morer(), &cfg).unwrap();
     let mut conn = connect(handle.addr());
 
@@ -577,47 +565,115 @@ fn acknowledged_durable_ingests_survive_a_simulated_kill() {
     }
 }
 
-/// Whatever `MORER_SERVE_BACKEND` says, pin each backend explicitly and
-/// assert both serve the *same bytes*: solve responses bit-identical to
-/// each other and to the in-process searcher, and `/healthz` reporting
-/// the backend it actually runs.
+/// A client declaring `Expect: 100-continue` holds its body back until the
+/// interim `100 Continue` line arrives, then gets the real response.
 #[test]
-fn cross_backend_solves_are_bit_identical() {
-    let mut backends = vec![ServeBackend::Threaded];
-    if cfg!(target_os = "linux") {
-        backends.push(ServeBackend::Reactor);
-    }
+fn expect_100_continue_gets_the_interim_line_before_the_body() {
     let morer = built_morer();
     let searcher = morer.searcher().clone();
-    let queries: Vec<ErProblem> =
-        (0..4).map(|i| family_problem(900 + i, (i % 2) as u8, 80)).collect();
-    let reference: Vec<SolveOutcome> = queries.iter().map(|q| searcher.solve(q)).collect();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
+    let mut conn = connect(handle.addr());
 
-    for backend in backends {
-        let cfg = ServeConfig { backend, ..serve_config() };
-        let handle = MorerServer::start(morer.clone(), &cfg).unwrap();
-        let mut conn = connect(handle.addr());
-        let health: HealthResponse =
-            serde_json::from_str(&conn.get("/healthz").unwrap().body).unwrap();
-        assert_eq!(health.backend, backend.label());
-        for (q, direct) in queries.iter().zip(&reference) {
-            let res = conn.post("/solve", &serde_json::to_string(q).unwrap()).unwrap();
-            assert_eq!(res.status, 200, "{}", res.body);
-            let served: SolveOutcome = serde_json::from_str(&res.body).unwrap();
-            assert_outcomes_equal(&served, direct, &format!("{} solve", backend.label()));
-        }
-        handle.shutdown();
-    }
+    let q = family_problem(300, 1, 80);
+    let body = serde_json::to_string(&q).unwrap();
+    let head = format!(
+        "POST /solve HTTP/1.1\r\nExpect: 100-continue\r\nContent-Length: {}\r\n\r\n",
+        body.len()
+    );
+    // only the head is on the wire: the interim line must come first
+    let interim = conn.send_raw(head.as_bytes()).unwrap();
+    assert_eq!(interim.status, 100);
+    assert!(interim.body.is_empty());
+    let res = conn.send_raw(body.as_bytes()).unwrap();
+    assert_eq!(res.status, 200, "{}", res.body);
+    let served: SolveOutcome = serde_json::from_str(&res.body).unwrap();
+    assert_outcomes_equal(&served, &searcher.solve(&q), "100-continue solve");
+    handle.shutdown();
+}
+
+/// Two requests sent in one write get two responses, in request order —
+/// even though the `POST` runs on the compute pool and the `GET` would be
+/// answered inline.
+#[test]
+fn pipelined_requests_in_one_write_get_ordered_responses() {
+    let morer = built_morer();
+    let searcher = morer.searcher().clone();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
+    let mut conn = connect(handle.addr());
+
+    let q = family_problem(310, 0, 80);
+    let body = serde_json::to_string(&q).unwrap();
+    let both = format!(
+        "POST /solve HTTP/1.1\r\nContent-Length: {}\r\n\r\n{body}GET /healthz HTTP/1.1\r\n\r\n",
+        body.len()
+    );
+    let first = conn.send_raw(both.as_bytes()).unwrap();
+    assert_eq!(first.status, 200, "{}", first.body);
+    let served: SolveOutcome = serde_json::from_str(&first.body).unwrap();
+    assert_outcomes_equal(&served, &searcher.solve(&q), "pipelined solve");
+    // nothing more to send: read the second pipelined response
+    let second = conn.send_raw(b"").unwrap();
+    assert_eq!(second.status, 200);
+    let health: HealthResponse = serde_json::from_str(&second.body).unwrap();
+    assert_eq!(health.status, "ok");
+    handle.shutdown();
+}
+
+/// A client that half-closes before its declared body is complete gets a
+/// typed 400 (not a silent close), and the server keeps serving.
+#[test]
+fn half_close_mid_body_is_a_400_and_the_server_keeps_serving() {
+    use std::io::{Read, Write};
+
+    let handle = MorerServer::start(built_morer(), &ServeConfig::default()).unwrap();
+    let mut stream = std::net::TcpStream::connect(handle.addr()).unwrap();
+    stream.set_read_timeout(Some(Duration::from_secs(30))).unwrap();
+    stream
+        .write_all(b"POST /solve HTTP/1.1\r\nContent-Length: 100\r\n\r\n{\"only\":")
+        .unwrap();
+    stream.shutdown(std::net::Shutdown::Write).unwrap();
+    let mut response = String::new();
+    stream.read_to_string(&mut response).unwrap();
+    assert!(response.starts_with("HTTP/1.1 400 Bad Request\r\n"), "{response}");
+    assert!(response.contains("Connection: close\r\n"), "{response}");
+    let body = &response[response.find("\r\n\r\n").unwrap() + 4..];
+    let env: ErrorEnvelope = serde_json::from_str(body).unwrap();
+    assert_eq!(env.error.kind, "bad_request");
+    assert_eq!(env.error.message, "connection closed mid-body");
+
+    let mut conn = connect(handle.addr());
+    assert_eq!(conn.get("/healthz").unwrap().status, 200);
+    handle.shutdown();
+}
+
+/// A hostile body nesting arrays 400 000 levels deep must be a typed
+/// `parse` 400: a recursive decoder without a depth limit overflows the
+/// compute thread's stack, and a stack overflow aborts the whole server
+/// (`catch_unwind` cannot stop it).
+#[test]
+fn deeply_nested_json_is_a_parse_400_not_a_crash() {
+    let handle = MorerServer::start(built_morer(), &ServeConfig::default()).unwrap();
+    let mut conn = connect(handle.addr());
+    let hostile = "[".repeat(400_000);
+    let res = conn.post("/solve", &hostile).unwrap();
+    assert_eq!(res.status, 400, "{}", res.body);
+    let env: ErrorEnvelope = serde_json::from_str(&res.body).unwrap();
+    assert_eq!(env.error.kind, "parse");
+    assert!(env.error.message.contains("recursion limit"), "{}", env.error.message);
+
+    let mut conn = connect(handle.addr());
+    assert_eq!(conn.get("/healthz").unwrap().status, 200);
+    handle.shutdown();
 }
 
 #[test]
 fn graceful_shutdown_joins_all_threads_and_closes_connections() {
     let morer = built_morer();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let addr = handle.addr();
     let mut conn = connect(addr);
     assert_eq!(conn.get("/healthz").unwrap().status, 200);
-    // shutdown() joins every worker and the writer; it must not hang on
+    // shutdown() joins every serving thread and the writer; it must not hang on
     // the idle keep-alive connection we still hold
     handle.shutdown();
     // the held connection is dead now: the next request fails instead of
@@ -633,7 +689,7 @@ fn graceful_shutdown_joins_all_threads_and_closes_connections() {
 #[test]
 fn metrics_exposition_is_valid_and_covers_the_pipeline() {
     let morer = built_morer();
-    let handle = MorerServer::start(morer, &serve_config()).unwrap();
+    let handle = MorerServer::start(morer, &ServeConfig::default()).unwrap();
     let mut conn = connect(handle.addr());
 
     // drive every class: a 2xx solve, a 4xx parse error
@@ -717,7 +773,7 @@ fn slow_requests_are_traced_and_fast_ones_skip_the_slow_log() {
     let morer = built_morer();
     // a fat ingest batch (recluster + retrain + commit over 8 new
     // problems) reliably exceeds 2ms; healthz reliably stays under it
-    let cfg = ServeConfig { slow_request_micros: 2_000, ..serve_config() };
+    let cfg = ServeConfig { slow_request_micros: 2_000, ..ServeConfig::default() };
     let handle = MorerServer::start(morer, &cfg).unwrap();
     let mut conn = connect(handle.addr());
 
