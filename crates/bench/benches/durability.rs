@@ -192,8 +192,8 @@ fn bench_compaction(c: &mut Criterion) {
 
 fn bench_replica_catchup(c: &mut Criterion) {
     // a follower's cold catch-up: bootstrap from the base snapshot, then
-    // verify-and-apply the whole shipped log through the streaming frame
-    // reader (hash check + replay per frame — the `GET /wal` consumer path)
+    // verify-and-apply the whole shipped log through the replay state
+    // machine (hash check + replay per frame — the `GET /wal` consumer path)
     use morer_core::replication::{FollowerState, SegmentStatus};
     use morer_core::wal::{BASE_FILE, HEADER_LEN, LOG_FILE};
 

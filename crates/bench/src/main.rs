@@ -591,8 +591,7 @@ fn quick_bench(seed: u64) {
     // with a short idle deadline measures how promptly a parked cohort is
     // reaped (`serve_idle_conn_reap_ms`: cohort reap completion past the
     // configured deadline).
-    let (serve_concurrent_conns, serve_reactor_rate, serve_idle_conn_reap_ms);
-    if cfg!(target_os = "linux") {
+    let (serve_concurrent_conns, serve_reactor_rate, serve_idle_conn_reap_ms) = {
         use morer_serve::StatsResponse;
         let reactor_handle = MorerServer::start(
             Morer::from_repository(searcher.repository(), &serve_cfg),
@@ -647,8 +646,6 @@ fn quick_bench(seed: u64) {
         assert!(peak >= n_parked as u64 + 1);
         drop(parked);
         reactor_handle.shutdown();
-        serve_concurrent_conns = peak;
-        serve_reactor_rate = serve_requests as f64 / reactor_s;
 
         // reap promptness: park a cohort against a short idle deadline and
         // time how long past the deadline the last reap lands
@@ -680,14 +677,11 @@ fn quick_bench(seed: u64) {
             );
             std::thread::sleep(std::time::Duration::from_millis(10));
         }
-        serve_idle_conn_reap_ms =
-            t0.elapsed().saturating_sub(reap_deadline).as_secs_f64() * 1e3;
+        let reap_ms = t0.elapsed().saturating_sub(reap_deadline).as_secs_f64() * 1e3;
         drop(conn);
         reap_handle.shutdown();
-    } else {
-        // no epoll shim on this platform: the reactor numbers are absent
-        (serve_concurrent_conns, serve_reactor_rate, serve_idle_conn_reap_ms) = (0, 0.0, 0.0);
-    }
+        (peak, serve_requests as f64 / reactor_s, reap_ms)
+    };
 
     // --- durability: WAL appends, recovery replay, fsync-acknowledged serve
     // The write-ahead log's hot loop (canonical-JSON encode + FNV-1a hash +
@@ -734,7 +728,7 @@ fn quick_bench(seed: u64) {
     );
 
     // replica catch-up: a follower bootstraps from the base snapshot and
-    // applies the whole shipped log through the verified frame reader —
+    // applies the whole shipped log through the replay state machine —
     // bit-identity with the recovered writer is asserted before any rate
     use morer_core::replication::{FollowerState, SegmentStatus};
     use morer_core::wal::{BASE_FILE, HEADER_LEN, LOG_FILE};

@@ -12,7 +12,7 @@
 //! # Level 1 — coarse per-column signatures
 //!
 //! Each searchable entry's cached representative sketch is distilled into an
-//! [`EntrySig`]: per feature column a [`ColumnSig`] holding
+//! `EntrySig`: per feature column a `ColumnSig` holding
 //!
 //! * the empty-sample gate flags (ECDF emptiness for KS/WD/CvM, binned total
 //!   for PSI) — when a gate fires, the *exact* per-column distance is the
@@ -22,7 +22,7 @@
 //!   to [`ColumnSketch::pooled_stddev`] ([`Moments::merge`] is commutative
 //!   bit-for-bit);
 //! * a stride-[`SIG_STRIDE`] subset of the [`CDF_GRID`]-point CDF grid and of
-//!   the [`PSI_BINS`] PSI proportions — exact copies of the vectors the
+//!   the [`PSI_BINS`](morer_stats::tests::PSI_BINS) PSI proportions — exact copies of the vectors the
 //!   full-distance cores consume;
 //! * a quantized signature code (see *quantization* below) feeding the
 //!   inverted index.
@@ -104,10 +104,10 @@
 //!
 //! # Composition
 //!
-//! [`crate::searcher::ModelSearcher`] owns the index behind an [`IndexCell`]
+//! [`crate::searcher::ModelSearcher`] owns the index behind an `IndexCell`
 //! (copy-on-write like the entry store: snapshot clones copy the current
 //! `Arc<SearchIndex>`, so readers never block and never observe a torn
-//! index). The index is *self-validating*: every [`EntrySig`] remembers the
+//! index). The index is *self-validating*: every `EntrySig` remembers the
 //! `Arc` identity of the sketch it was distilled from, and a refresh
 //! compares those identities against the entries' current cached sketches —
 //! unchanged entries are reused wholesale ([`SearchIndex::refresh`] is

@@ -59,10 +59,10 @@
 //! torn or bit-flipped log tails are detected by per-record length prefix
 //! + content hash and truncated, never replayed. The same self-delimiting,
 //! content-hashed framing makes the log *shippable*: [`replication`] holds
-//! the follower-side machinery (segment verification, the one shared
-//! replay path, offset/generation bookkeeping) that lets a replica tail a
-//! leader's log over any byte transport and serve reads at a bounded
-//! epoch lag — the HTTP transport lives in `morer-serve`.
+//! the one replay state machine ([`replication::FollowerState`]) that
+//! recovery runs over the log on disk and a replica runs over a leader's
+//! shipped log (any byte transport; the HTTP one lives in `morer-serve`),
+//! so a replica serves reads at a bounded epoch lag.
 //!
 //! ```
 //! use morer_core::prelude::*;
@@ -102,10 +102,7 @@ pub mod prelude {
     pub use crate::error::{MorerError, REPOSITORY_FORMAT_VERSION, WAL_FORMAT_VERSION};
     pub use crate::index::{IndexOverview, IndexStats, SearchIndex};
     pub use crate::pipeline::{BuildReport, IngestReport, Morer};
-    pub use crate::replication::{
-        ApplyOutcome, BaseSnapshot, FollowerState, FrameReader, LogSegment, ReplicaApplier,
-        SegmentReport, SegmentStatus,
-    };
+    pub use crate::replication::{FollowerState, LogSegment, SegmentReport, SegmentStatus};
     pub use crate::repository::{ClusterEntry, ModelRepository};
     pub use crate::searcher::{EntryId, ModelSearcher, SearchHit, SolveOutcome};
     pub use crate::stability::{ClusterStability, StabilityReport};

@@ -1,29 +1,34 @@
-//! Log shipping: the follower side of WAL replication.
+//! Log shipping: the follower side of WAL replication, and the one replay
+//! state machine.
 //!
 //! The write-ahead log's frames (see [`crate::wal`]) are self-delimiting
 //! and content-hashed, so a replica can stream them **verbatim** from a
-//! leader and re-verify every byte itself. This module is the
-//! transport-agnostic core of that follower: segment verification
-//! ([`FrameReader`]), record application through the *same* replay path
-//! recovery uses ([`ReplicaApplier`] → `wal::apply_record`), and the
-//! offset/generation bookkeeping of the shipping protocol
-//! ([`FollowerState`]). The HTTP transport (polling `GET /wal` on a
-//! `morer-serve` leader, backoff, resync fetches) lives in `morer-serve`;
-//! everything here is pure bytes-in, state-out — which is what the
-//! fault-injection property tests drive directly.
+//! leader and re-verify every byte itself. This module holds both ends of
+//! that stream, as pure bytes-in, state-out code that the fault-injection
+//! property tests drive directly:
 //!
-//! The wire/offset protocol itself is specified in the [`crate::wal`]
-//! module docs ("Log-shipping wire/offset protocol"). The invariants this
-//! module enforces:
+//! * [`read_log_segment`] — the leader side: it cuts the verified
+//!   whole-frame prefix off `wal.log` without decoding any record.
+//! * [`FollowerState`] — the replay state machine: repository, applied
+//!   epoch, dirty positions, and the offset/generation of the shipping
+//!   protocol. [`FollowerState::ingest_segment`] walks a byte slice in
+//!   place, frame by frame. Crash recovery ([`crate::wal::Wal::open`])
+//!   is this same machine run over the log on disk, so a follower that
+//!   has applied epoch E is bit-identical to a leader recovered at E by
+//!   construction.
 //!
-//! * **No partial application, ever.** A frame is applied only after its
-//!   length prefix, content hash and decode all verify *and* its epoch is
-//!   exactly `applied + 1`. A short (torn) tail or a corrupt frame stops
-//!   the segment at the last fully applied offset — the follower re-fetches
+//! Both sides read frames only through the `wal` frame codec. The HTTP
+//! transport (polling `GET /wal` on a `morer-serve` leader, backoff,
+//! resync fetches) lives in `morer-serve`. The wire/offset protocol is
+//! specified in the [`crate::wal`] module docs ("Log-shipping wire/offset
+//! protocol"), and the replay rules in "Replay rules" there. What they
+//! mean for a follower:
+//!
+//! * **No partial application, ever.** A torn tail or a corrupt frame
+//!   stops the segment at the last whole frame; the follower re-fetches
 //!   from there.
-//! * **Idempotent re-delivery.** Frames with `epoch <= applied` (compaction
-//!   leftovers, or a re-fetched segment overlapping already-applied
-//!   frames) are verified, counted as skipped, and not re-applied.
+//! * **Idempotent re-delivery.** Frames with `epoch <= applied` are
+//!   verified, counted as skipped, and not re-applied.
 //! * **Gaps force a resync.** An epoch jump means bytes are missing (the
 //!   leader compacted mid-tail, or restarted into a shorter log): the
 //!   follower discards nothing it already applied, but must rebuild from
@@ -33,11 +38,9 @@ use std::collections::BTreeSet;
 use std::io::{Read, Seek, SeekFrom};
 use std::path::Path;
 
-use crate::error::{MorerError, WAL_FORMAT_VERSION};
+use crate::error::MorerError;
 use crate::repository::{ClusterEntry, ModelRepository};
-use crate::wal::{
-    self, content_hash, CommitRecord, FRAME_HEADER_LEN, HEADER_LEN, LOG_FILE, MAX_RECORD_BYTES,
-};
+use crate::wal::{self, CommitRecord, Frame, FRAME_HEADER_LEN, HEADER_LEN, LOG_FILE};
 
 /// A verified chunk of the leader's log, as served to a follower: whole
 /// frames only, starting at exactly the requested offset.
@@ -84,20 +87,11 @@ pub fn read_log_segment(
         }
         Err(e) => return Err(e.into()),
     };
-    let mut header = [0u8; HEADER_LEN as usize];
     let log_len = file.metadata()?.len();
     if log_len >= HEADER_LEN {
+        let mut header = [0u8; HEADER_LEN as usize];
         file.read_exact(&mut header)?;
-        if header[..8] != wal::WAL_MAGIC {
-            return Err(MorerError::LogCorrupt {
-                offset: 0,
-                reason: format!("{} is not a MoRER write-ahead log", path.display()),
-            });
-        }
-        let version = u64::from(u32::from_le_bytes(header[8..12].try_into().expect("4 bytes")));
-        if version > WAL_FORMAT_VERSION {
-            return Err(MorerError::UnsupportedVersion { found: version });
-        }
+        wal::check_header(&header, &path)?;
     }
     if from < HEADER_LEN || from >= log_len {
         return Ok(LogSegment { start: from, bytes: Vec::new(), log_len });
@@ -120,244 +114,23 @@ pub fn read_log_segment(
 
     // keep only the verified whole-frame prefix
     let mut end = 0usize;
-    while raw.len() - end >= FRAME_HEADER_LEN {
-        let len = u32::from_le_bytes(raw[end..end + 4].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_BYTES {
-            break;
-        }
-        let len = len as usize;
-        if raw.len() - end < FRAME_HEADER_LEN + len {
+    loop {
+        match wal::read_frame(&raw[end..]) {
+            Frame::Whole(payload) => end += FRAME_HEADER_LEN + payload.len(),
             // progress guarantee: a single frame larger than `max_bytes`
             // must still ship — extend the read to cover exactly it
-            let whole = FRAME_HEADER_LEN + len;
-            if end == 0 && from + whole as u64 <= log_len && whole > raw.len() {
+            Frame::Short(Some(whole)) if end == 0 && from + whole as u64 <= log_len => {
                 let mut rest = vec![0u8; whole - raw.len()];
-                if file.read_exact(&mut rest).is_ok() {
-                    raw.extend_from_slice(&rest);
-                    continue;
+                if file.read_exact(&mut rest).is_err() {
+                    break;
                 }
+                raw.extend_from_slice(&rest);
             }
-            break;
+            Frame::Short(_) | Frame::Corrupt => break,
         }
-        let stored = u64::from_le_bytes(raw[end + 4..end + 12].try_into().expect("8 bytes"));
-        if content_hash(&raw[end + FRAME_HEADER_LEN..end + FRAME_HEADER_LEN + len]) != stored {
-            break;
-        }
-        end += FRAME_HEADER_LEN + len;
     }
     raw.truncate(end);
     Ok(LogSegment { start: from, bytes: raw, log_len })
-}
-
-/// A decoded base-snapshot envelope (`base.json` bytes — from disk or from
-/// the wire), the bootstrap/resync artifact of the shipping protocol.
-#[derive(Debug)]
-pub struct BaseSnapshot {
-    /// The folded repository.
-    pub repository: ModelRepository,
-    /// The epoch the base captures.
-    pub epoch: u64,
-    /// The leader's compaction counter when the base was published — the
-    /// *generation* the follower tails under.
-    pub generation: u64,
-}
-
-/// Decode base-snapshot bytes as shipped by a leader (identical to the
-/// on-disk `base.json`).
-///
-/// # Errors
-/// [`MorerError::LogCorrupt`] / [`MorerError::UnsupportedVersion`] exactly
-/// as recovery-on-open would report them.
-pub fn decode_base_snapshot(text: &str) -> Result<BaseSnapshot, MorerError> {
-    let (repository, epoch, generation) = wal::decode_base(text)?;
-    Ok(BaseSnapshot { repository, epoch, generation })
-}
-
-/// Why a frame could not be taken from the stream.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct FrameCorrupt {
-    /// Offset of the bad frame relative to the reader's stream start.
-    pub offset: u64,
-    /// What failed (length prefix, content hash, decode).
-    pub reason: String,
-}
-
-impl std::fmt::Display for FrameCorrupt {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "corrupt frame at stream offset {}: {}", self.offset, self.reason)
-    }
-}
-
-/// Streaming frame verifier/decoder: push raw shipped bytes in, take
-/// verified [`CommitRecord`]s out. A short tail is "need more bytes", not
-/// an error; a frame that fails its length bound, content hash or decode
-/// is [`FrameCorrupt`] — the caller discards the buffer and re-fetches
-/// from its last fully consumed offset.
-#[derive(Debug, Default)]
-pub struct FrameReader {
-    buf: Vec<u8>,
-    pos: usize,
-    consumed: u64,
-}
-
-impl FrameReader {
-    /// An empty reader.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
-    /// Feed raw shipped bytes.
-    pub fn push(&mut self, bytes: &[u8]) {
-        // drop the consumed prefix before growing, so a long tail never
-        // accumulates already-applied frames
-        if self.pos > 0 {
-            self.buf.drain(..self.pos);
-            self.pos = 0;
-        }
-        self.buf.extend_from_slice(bytes);
-    }
-
-    /// Take the next verified frame: `Ok(Some((record, frame_len)))` when a
-    /// whole frame verified and decoded, `Ok(None)` when the buffered tail
-    /// is (so far) too short to judge, `Err` when the frame at the cursor
-    /// is provably corrupt.
-    pub fn next_frame(&mut self) -> Result<Option<(CommitRecord, u64)>, FrameCorrupt> {
-        let avail = self.buf.len() - self.pos;
-        if avail < FRAME_HEADER_LEN {
-            return Ok(None);
-        }
-        let at = self.pos;
-        let len = u32::from_le_bytes(self.buf[at..at + 4].try_into().expect("4 bytes"));
-        if len > MAX_RECORD_BYTES {
-            return Err(FrameCorrupt {
-                offset: self.consumed,
-                reason: format!("length prefix {len} exceeds the frame limit"),
-            });
-        }
-        let len = len as usize;
-        if avail < FRAME_HEADER_LEN + len {
-            return Ok(None);
-        }
-        let stored = u64::from_le_bytes(self.buf[at + 4..at + 12].try_into().expect("8 bytes"));
-        let payload = &self.buf[at + FRAME_HEADER_LEN..at + FRAME_HEADER_LEN + len];
-        if content_hash(payload) != stored {
-            return Err(FrameCorrupt {
-                offset: self.consumed,
-                reason: "content hash mismatch (bit-flipped payload)".to_owned(),
-            });
-        }
-        let Some(record) = wal::decode_record(payload) else {
-            return Err(FrameCorrupt {
-                offset: self.consumed,
-                reason: "hash-valid frame does not decode to a commit record".to_owned(),
-            });
-        };
-        let frame_len = (FRAME_HEADER_LEN + len) as u64;
-        self.pos += FRAME_HEADER_LEN + len;
-        self.consumed += frame_len;
-        Ok(Some((record, frame_len)))
-    }
-
-    /// Unconsumed (buffered, not yet verified) bytes.
-    pub fn buffered(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    /// Total stream bytes consumed as verified frames.
-    pub fn consumed(&self) -> u64 {
-        self.consumed
-    }
-
-    /// Discard everything buffered (after a corrupt frame or before a
-    /// re-fetch) without resetting the consumed counter.
-    pub fn discard_buffered(&mut self) {
-        self.buf.clear();
-        self.pos = 0;
-    }
-}
-
-/// What applying one verified record did.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ApplyOutcome {
-    /// The record advanced the replica by one epoch.
-    Applied,
-    /// `epoch <= applied`: an idempotent re-delivery or compaction
-    /// leftover, verified and ignored.
-    Skipped,
-    /// `epoch > applied + 1`: commits are missing — resync from base.
-    Gap,
-    /// The record's entry ids are inconsistent with the store (nothing was
-    /// mutated) — treat like corruption and resync.
-    Invalid,
-}
-
-/// The replica's repository state: records applied in epoch order through
-/// the same `apply_record` path crash recovery replays with, so a
-/// follower that has applied epoch E is bit-identical (via `save_json`)
-/// to a leader recovered at epoch E.
-#[derive(Debug)]
-pub struct ReplicaApplier {
-    entries: Vec<ClusterEntry>,
-    epoch: u64,
-    /// Store positions mutated by records applied since the last
-    /// [`ReplicaApplier::take_dirty`] — what an O(dirty) snapshot
-    /// republication must deep-copy (every other position is unchanged
-    /// and can be reused by reference).
-    dirty: BTreeSet<usize>,
-}
-
-impl ReplicaApplier {
-    /// Start from a bootstrap state (usually a leader base snapshot).
-    pub fn new(repository: ModelRepository, epoch: u64) -> Self {
-        Self { entries: repository.entries, epoch, dirty: BTreeSet::new() }
-    }
-
-    /// The last applied epoch.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
-    }
-
-    /// Apply one verified record (see [`ApplyOutcome`]). Validation runs
-    /// before any mutation: an `Invalid` or `Gap` outcome leaves the
-    /// store exactly as it was.
-    pub fn apply(&mut self, record: CommitRecord) -> ApplyOutcome {
-        if record.epoch <= self.epoch {
-            return ApplyOutcome::Skipped;
-        }
-        if record.epoch != self.epoch + 1 {
-            return ApplyOutcome::Gap;
-        }
-        let epoch = record.epoch;
-        // collect the touched positions before the record is consumed;
-        // only recorded as dirty if the apply actually mutates the store
-        let touched: Vec<usize> = record.entries.iter().map(|e| e.id).collect();
-        match wal::apply_record(&mut self.entries, record) {
-            Ok(()) => {
-                self.epoch = epoch;
-                self.dirty.extend(touched);
-                ApplyOutcome::Applied
-            }
-            Err(()) => ApplyOutcome::Invalid,
-        }
-    }
-
-    /// Drain the positions mutated since the last call (see the `dirty`
-    /// field). Positions may exceed the current store length when a record
-    /// truncated the store after touching it.
-    pub fn take_dirty(&mut self) -> BTreeSet<usize> {
-        std::mem::take(&mut self.dirty)
-    }
-
-    /// The current entry store.
-    pub fn entries(&self) -> &[ClusterEntry] {
-        &self.entries
-    }
-
-    /// A clone of the current state as a [`ModelRepository`] (what the
-    /// serving layer builds read snapshots from).
-    pub fn repository(&self) -> ModelRepository {
-        ModelRepository { entries: self.entries.clone() }
-    }
 }
 
 /// Terminal status of one ingested segment.
@@ -387,14 +160,22 @@ pub struct SegmentReport {
     pub status: SegmentStatus,
 }
 
-/// The complete follower-side protocol state: applier + offset +
-/// generation. One instance per upstream leader; replaced wholesale on
-/// resync ([`FollowerState::from_base`]).
+/// The replay state machine: the repository replayed so far plus the
+/// shipping protocol's offset and generation. One instance per upstream
+/// leader, replaced wholesale on resync ([`FollowerState::from_base`]);
+/// crash recovery runs one over the log on disk.
 #[derive(Debug)]
 pub struct FollowerState {
-    applier: ReplicaApplier,
-    /// Leader log offset of the first byte *not yet applied* — where the
-    /// next segment must start.
+    entries: Vec<ClusterEntry>,
+    /// The last applied epoch.
+    epoch: u64,
+    /// Store positions mutated by records applied since the last
+    /// [`FollowerState::take_dirty`] — what an O(dirty) snapshot
+    /// republication must deep-copy (every other position is unchanged
+    /// and can be reused by reference).
+    dirty: BTreeSet<usize>,
+    /// Log offset of the first byte *not yet applied* — where the next
+    /// segment must start.
     offset: u64,
     /// The leader compaction generation the offset is valid under.
     generation: u64,
@@ -404,23 +185,32 @@ impl FollowerState {
     /// A follower that has never synced: empty repository, epoch 0,
     /// tailing generation 0 from the first frame.
     pub fn empty() -> Self {
+        Self::new(ModelRepository::default(), 0, 0)
+    }
+
+    /// A state that has applied `repository` at `epoch` and tails
+    /// `generation` from the first frame.
+    pub(crate) fn new(repository: ModelRepository, epoch: u64, generation: u64) -> Self {
         Self {
-            applier: ReplicaApplier::new(ModelRepository::default(), 0),
+            entries: repository.entries,
+            epoch,
+            dirty: BTreeSet::new(),
             offset: HEADER_LEN,
-            generation: 0,
+            generation,
         }
     }
 
-    /// Bootstrap (or resync) from a leader base snapshot: the state is
-    /// replaced wholesale — after a leader restart that lost a suffix this
-    /// intentionally rolls the follower back to the leader's truth.
+    /// Bootstrap (or resync) from a leader base snapshot (`base.json`
+    /// bytes): the state is replaced wholesale — after a leader restart
+    /// that lost a suffix this intentionally rolls the follower back to
+    /// the leader's truth.
+    ///
+    /// # Errors
+    /// [`MorerError::LogCorrupt`] / [`MorerError::UnsupportedVersion`]
+    /// exactly as recovery-on-open would report them.
     pub fn from_base(text: &str) -> Result<Self, MorerError> {
-        let base = decode_base_snapshot(text)?;
-        Ok(Self {
-            applier: ReplicaApplier::new(base.repository, base.epoch),
-            offset: HEADER_LEN,
-            generation: base.generation,
-        })
+        let (repository, epoch, generation) = wal::decode_base(text)?;
+        Ok(Self::new(repository, epoch, generation))
     }
 
     /// The offset the next segment must start at.
@@ -435,74 +225,95 @@ impl FollowerState {
 
     /// The last applied epoch.
     pub fn epoch(&self) -> u64 {
-        self.applier.epoch()
-    }
-
-    /// A clone of the applied state (for snapshot publication).
-    pub fn repository(&self) -> ModelRepository {
-        self.applier.repository()
+        self.epoch
     }
 
     /// The applied entry store.
     pub fn entries(&self) -> &[ClusterEntry] {
-        self.applier.entries()
+        &self.entries
     }
 
-    /// Drain the store positions mutated since the last call
-    /// ([`ReplicaApplier::take_dirty`]) — the O(dirty) set a snapshot
-    /// republication must deep-copy.
+    /// A clone of the applied state (for snapshot publication).
+    pub fn repository(&self) -> ModelRepository {
+        ModelRepository { entries: self.entries.clone() }
+    }
+
+    /// The applied state, by value.
+    pub(crate) fn into_repository(self) -> ModelRepository {
+        ModelRepository { entries: self.entries }
+    }
+
+    /// Drain the store positions mutated since the last call — the
+    /// O(dirty) set a snapshot republication must deep-copy. Positions may
+    /// exceed the current store length when a record truncated the store
+    /// after touching it.
     pub fn take_dirty(&mut self) -> BTreeSet<usize> {
-        self.applier.take_dirty()
+        std::mem::take(&mut self.dirty)
     }
 
-    /// Ingest one shipped segment that starts at exactly
+    /// Ingest one segment of log bytes that starts at exactly
     /// [`FollowerState::offset`] (segments starting anywhere else are
-    /// refused with `Corrupt` and nothing is applied). Applies the verified
-    /// prefix, advances the offset frame by frame, and reports how the
-    /// segment ended — partial records are never applied.
+    /// refused with `Corrupt` and nothing is applied). Walks the frames in
+    /// place under the replay rules of [`crate::wal`], advances the offset
+    /// frame by frame, and reports how the segment ended — partial records
+    /// are never applied.
     pub fn ingest_segment(&mut self, start: u64, bytes: &[u8]) -> SegmentReport {
         let mut report = SegmentReport { applied: 0, skipped: 0, status: SegmentStatus::Clean };
         if start != self.offset {
             report.status = SegmentStatus::Corrupt;
             return report;
         }
-        let mut reader = FrameReader::new();
-        reader.push(bytes);
-        loop {
-            match reader.next_frame() {
-                Ok(None) => {
-                    if reader.buffered() > 0 {
-                        report.status = SegmentStatus::TornTail;
-                    }
-                    return report;
+        let mut rest = bytes;
+        while !rest.is_empty() {
+            let payload = match wal::read_frame(rest) {
+                Frame::Whole(payload) => payload,
+                Frame::Short(_) => {
+                    report.status = SegmentStatus::TornTail;
+                    break;
                 }
-                Err(_) => {
+                Frame::Corrupt => {
                     report.status = SegmentStatus::Corrupt;
-                    return report;
+                    break;
                 }
-                Ok(Some((record, frame_len))) => match self.applier.apply(record) {
-                    ApplyOutcome::Applied => {
-                        self.offset += frame_len;
-                        report.applied += 1;
-                    }
-                    ApplyOutcome::Skipped => {
-                        self.offset += frame_len;
-                        report.skipped += 1;
-                    }
-                    ApplyOutcome::Gap | ApplyOutcome::Invalid => {
-                        report.status = SegmentStatus::NeedResync;
-                        return report;
-                    }
-                },
+            };
+            let Some(record) = wal::decode_record(payload) else {
+                report.status = SegmentStatus::Corrupt;
+                break;
+            };
+            if record.epoch <= self.epoch {
+                report.skipped += 1;
+            } else if record.epoch == self.epoch + 1 && self.apply(record) {
+                report.applied += 1;
+            } else {
+                report.status = SegmentStatus::NeedResync;
+                break;
             }
+            let frame_len = FRAME_HEADER_LEN + payload.len();
+            self.offset += frame_len as u64;
+            rest = &rest[frame_len..];
         }
+        report
+    }
+
+    /// Apply the record of epoch `self.epoch + 1`; `false` (and nothing
+    /// mutated) when its entry ids are inconsistent with the store.
+    fn apply(&mut self, record: CommitRecord) -> bool {
+        // collect the touched positions before the record is consumed;
+        // only marked dirty if the apply mutates the store
+        let touched: Vec<usize> = record.entries.iter().map(|e| e.id).collect();
+        if wal::apply_record(&mut self.entries, record).is_err() {
+            return false;
+        }
+        self.epoch += 1;
+        self.dirty.extend(touched);
+        true
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::wal::{Wal, WalOptions};
+    use crate::wal::{Wal, WalOptions, MAX_RECORD_BYTES};
     use morer_ml::dataset::TrainingSet;
     use morer_ml::model::{ModelConfig, TrainedModel};
     use std::path::PathBuf;
@@ -526,13 +337,20 @@ mod tests {
     }
 
     fn frame(record: &CommitRecord) -> Vec<u8> {
-        let payload = serde_json::to_string(record).unwrap().into_bytes();
-        let mut f = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        f.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        f.extend_from_slice(&content_hash(&payload).to_le_bytes());
-        f.extend_from_slice(&payload);
-        f
+        wal::encode_frame(serde_json::to_string(record).unwrap().as_bytes())
     }
+
+    /// Ingest `record` as a one-frame segment at the follower's offset.
+    fn feed(state: &mut FollowerState, record: CommitRecord) -> SegmentReport {
+        state.ingest_segment(state.offset(), &frame(&record))
+    }
+
+    const APPLIED: SegmentReport =
+        SegmentReport { applied: 1, skipped: 0, status: SegmentStatus::Clean };
+    const SKIPPED: SegmentReport =
+        SegmentReport { applied: 0, skipped: 1, status: SegmentStatus::Clean };
+    const RESYNC: SegmentReport =
+        SegmentReport { applied: 0, skipped: 0, status: SegmentStatus::NeedResync };
 
     fn tmp(name: &str) -> PathBuf {
         let dir =
@@ -542,67 +360,80 @@ mod tests {
     }
 
     #[test]
-    fn frame_reader_streams_across_arbitrary_cut_points() {
+    fn every_prefix_of_a_frame_stream_reads_short_or_whole() {
         let frames: Vec<u8> = (1..=3).flat_map(|e| frame(&record(e, &[0], 1))).collect();
-        // push one byte at a time: every prefix is either "need more" or a
-        // verified frame, never an error
-        let mut reader = FrameReader::new();
-        let mut got = Vec::new();
-        for &b in &frames {
-            reader.push(&[b]);
-            while let Some((r, _)) = reader.next_frame().unwrap() {
-                got.push(r.epoch);
+        // cut the stream at every byte: each read is either "need more" or
+        // a verified frame, never corrupt
+        for cut in 0..=frames.len() {
+            let mut rest = &frames[..cut];
+            let mut got = Vec::new();
+            loop {
+                match wal::read_frame(rest) {
+                    Frame::Whole(payload) => {
+                        got.push(wal::decode_record(payload).unwrap().epoch);
+                        rest = &rest[FRAME_HEADER_LEN + payload.len()..];
+                    }
+                    Frame::Short(whole) => {
+                        if let Some(whole) = whole {
+                            assert!(whole > rest.len(), "cut {cut}: short frames do not fit");
+                        }
+                        break;
+                    }
+                    Frame::Corrupt => panic!("cut {cut}: a clean prefix read as corrupt"),
+                }
             }
+            // three equal-length frames (one-digit epochs)
+            let frame_len = frames.len() / 3;
+            assert_eq!(got, (1..=(cut / frame_len) as u64).collect::<Vec<_>>(), "cut {cut}");
+            assert_eq!(cut - rest.len(), got.len() * frame_len, "cut {cut}");
         }
-        assert_eq!(got, vec![1, 2, 3]);
-        assert_eq!(reader.buffered(), 0);
-        assert_eq!(reader.consumed(), frames.len() as u64);
     }
 
     #[test]
-    fn frame_reader_rejects_bit_flips_and_bad_lengths() {
+    fn read_frame_rejects_bit_flips_and_bad_lengths() {
         let mut bytes = frame(&record(1, &[0], 1));
         let mid = bytes.len() / 2;
         bytes[mid] ^= 0x40;
-        let mut reader = FrameReader::new();
-        reader.push(&bytes);
-        assert!(reader.next_frame().is_err(), "flipped payload must not verify");
+        assert_eq!(wal::read_frame(&bytes), Frame::Corrupt, "flipped payload must not verify");
 
-        let mut reader = FrameReader::new();
-        reader.push(&(MAX_RECORD_BYTES + 1).to_le_bytes());
-        reader.push(&[0u8; 8]);
-        assert!(reader.next_frame().is_err(), "oversized length prefix must not verify");
+        let mut bytes = (MAX_RECORD_BYTES + 1).to_le_bytes().to_vec();
+        bytes.extend_from_slice(&[0u8; 8]);
+        assert_eq!(
+            wal::read_frame(&bytes),
+            Frame::Corrupt,
+            "oversized length prefix must not verify"
+        );
     }
 
     #[test]
-    fn applier_applies_skips_and_gaps_like_recovery() {
-        let mut applier = ReplicaApplier::new(ModelRepository::default(), 0);
-        assert_eq!(applier.apply(record(1, &[0], 1)), ApplyOutcome::Applied);
-        assert_eq!(applier.apply(record(1, &[0], 1)), ApplyOutcome::Skipped);
-        assert_eq!(applier.apply(record(3, &[1], 2)), ApplyOutcome::Gap);
-        assert_eq!(applier.epoch(), 1);
+    fn follower_applies_skips_and_gaps_like_recovery() {
+        let mut state = FollowerState::empty();
+        assert_eq!(feed(&mut state, record(1, &[0], 1)), APPLIED);
+        assert_eq!(feed(&mut state, record(1, &[0], 1)), SKIPPED);
+        assert_eq!(feed(&mut state, record(3, &[1], 2)), RESYNC, "epoch gap");
+        assert_eq!(state.epoch(), 1);
         // an entry id past the store length must not apply, even partially
-        assert_eq!(applier.apply(record(2, &[5], 6)), ApplyOutcome::Invalid);
-        assert_eq!(applier.entries().len(), 1);
-        assert_eq!(applier.apply(record(2, &[1], 2)), ApplyOutcome::Applied);
-        assert_eq!(applier.epoch(), 2);
+        assert_eq!(feed(&mut state, record(2, &[5], 6)), RESYNC, "invalid entry ids");
+        assert_eq!(state.entries().len(), 1);
+        assert_eq!(feed(&mut state, record(2, &[1], 2)), APPLIED);
+        assert_eq!(state.epoch(), 2);
     }
 
     #[test]
-    fn applier_tracks_dirty_positions_per_drain() {
-        let mut applier = ReplicaApplier::new(ModelRepository::default(), 0);
-        assert_eq!(applier.apply(record(1, &[0, 1], 2)), ApplyOutcome::Applied);
-        assert_eq!(applier.apply(record(2, &[1, 2], 3)), ApplyOutcome::Applied);
-        let dirty: Vec<usize> = applier.take_dirty().into_iter().collect();
+    fn follower_tracks_dirty_positions_per_drain() {
+        let mut state = FollowerState::empty();
+        assert_eq!(feed(&mut state, record(1, &[0, 1], 2)), APPLIED);
+        assert_eq!(feed(&mut state, record(2, &[1, 2], 3)), APPLIED);
+        let dirty: Vec<usize> = state.take_dirty().into_iter().collect();
         assert_eq!(dirty, vec![0, 1, 2]);
         // skipped / gapped / invalid records contribute nothing
-        assert_eq!(applier.apply(record(2, &[0], 3)), ApplyOutcome::Skipped);
-        assert_eq!(applier.apply(record(9, &[0], 3)), ApplyOutcome::Gap);
-        assert_eq!(applier.apply(record(3, &[7], 8)), ApplyOutcome::Invalid);
-        assert!(applier.take_dirty().is_empty());
+        assert_eq!(feed(&mut state, record(2, &[0], 3)), SKIPPED);
+        assert_eq!(feed(&mut state, record(9, &[0], 3)), RESYNC);
+        assert_eq!(feed(&mut state, record(3, &[7], 8)), RESYNC);
+        assert!(state.take_dirty().is_empty());
         // the drain resets: only post-drain mutations accumulate
-        assert_eq!(applier.apply(record(3, &[0], 3)), ApplyOutcome::Applied);
-        assert_eq!(applier.take_dirty().into_iter().collect::<Vec<_>>(), vec![0]);
+        assert_eq!(feed(&mut state, record(3, &[0], 3)), APPLIED);
+        assert_eq!(state.take_dirty().into_iter().collect::<Vec<_>>(), vec![0]);
     }
 
     #[test]
@@ -659,21 +490,18 @@ mod tests {
     }
 
     #[test]
-    fn base_snapshot_round_trips_through_the_wire_decoder() {
+    fn base_snapshot_round_trips_through_from_base() {
         let dir = tmp("base_wire");
         let repo = ModelRepository { entries: vec![sample_entry(0), sample_entry(1)] };
         let mut wal = Wal::create(&dir, WalOptions::default(), &repo, 3).unwrap();
         wal.append(&record(4, &[0], 2)).unwrap();
         wal.compact(&repo, 4).unwrap();
         let text = std::fs::read_to_string(dir.join("base.json")).unwrap();
-        let base = decode_base_snapshot(&text).unwrap();
-        assert_eq!(base.epoch, 4);
-        assert_eq!(base.generation, 1);
-        assert_eq!(base.repository, repo);
         let state = FollowerState::from_base(&text).unwrap();
         assert_eq!(state.epoch(), 4);
         assert_eq!(state.generation(), 1);
         assert_eq!(state.offset(), HEADER_LEN);
+        assert_eq!(state.repository(), repo);
         std::fs::remove_dir_all(&dir).ok();
     }
 }

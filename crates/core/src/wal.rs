@@ -48,23 +48,34 @@
 //! full-recluster commit that *shrank* the repository replays correctly
 //! (the tail beyond `num_entries` is truncated).
 //!
-//! ## Recovery semantics
+//! ## Replay rules
 //!
-//! [`Wal::open`] replays records in order and **stops cleanly at the first
-//! invalid one**, truncating the log back to the last valid prefix:
+//! Recovery ([`Wal::open`]) and a log-shipping follower
+//! ([`crate::replication::FollowerState`]) read the log through one frame
+//! codec and one state machine: `Wal::open` recovers by running a follower
+//! over its own log. Frames are taken in order and replay **stops cleanly
+//! at the first one that cannot be taken**; nothing from that frame on is
+//! applied:
 //!
-//! * a frame whose bytes run past end-of-file (torn append) → truncate;
-//! * a payload whose FNV-1a hash disagrees with the frame header
-//!   (bit-flipped body) → truncate;
-//! * an epoch that is neither ≤ the current epoch (see below) nor exactly
-//!   `current + 1` (a gap — some record is missing) → truncate;
-//! * a record whose entry ids skip past the store length → truncate.
+//! * a frame whose bytes run past the end of the input (a torn append, or
+//!   a shipped segment cut mid-frame) → stop;
+//! * a length prefix above [`MAX_RECORD_BYTES`], or a payload whose FNV-1a
+//!   hash disagrees with the frame header (bit-flipped body) → stop;
+//! * a hash-valid payload that does not decode to a [`CommitRecord`] →
+//!   stop;
+//! * `epoch <=` the applied epoch → *skipped, not replayed*, but counted
+//!   and kept in the log: these are the leftovers of a compaction that
+//!   crashed after publishing the new base but before truncating the log
+//!   (their effects are already folded into the base), or a re-fetched
+//!   segment overlapping applied frames. Duplicate-epoch records are
+//!   therefore idempotent by construction;
+//! * an epoch other than `applied + 1` (a gap — some record is missing),
+//!   or a record whose entry ids skip past the store length → stop, with
+//!   nothing of that record applied.
 //!
-//! Records with `epoch <=` the recovered epoch are *skipped, not
-//! replayed*: they are the leftovers of a compaction that crashed after
-//! publishing the new base but before truncating the log, and their effects
-//! are already folded into the base snapshot. Duplicate-epoch records are
-//! therefore idempotent by construction.
+//! Recovery truncates the log back to where replay stopped, so the next
+//! append starts at a record boundary. A follower re-fetches from there
+//! instead (a gap or bad record makes it resync from the leader's base).
 //!
 //! A zero-length (or torn-header) log file recovers to the base snapshot
 //! alone. A log file whose first bytes are **not** the `MORERWAL` magic is
@@ -133,13 +144,10 @@
 //!   fetches the **base snapshot** (the `base.json` bytes, which embed
 //!   `epoch` and `compactions`), replaces its state wholesale, and resumes
 //!   tailing from `(new_generation, HEADER_LEN)`.
-//! * **Follower-side verification** re-checks every frame: length prefix
-//!   bounded by [`MAX_RECORD_BYTES`], FNV-1a content hash, decodability,
-//!   and epoch continuity (`epoch == applied + 1` applies; `epoch <=
-//!   applied` is a compaction leftover and is skipped; anything else is a
-//!   gap → resync). A short/torn frame at the end of a segment is *not* an
-//!   error — the follower re-fetches from the last fully applied offset,
-//!   so a partial record is never applied.
+//! * **Follower-side verification** applies the replay rules above to
+//!   every shipped frame. A short/torn frame at the end of a segment is
+//!   *not* an error: the follower re-fetches from the end of its last
+//!   whole frame, so a partial record is never applied.
 
 use std::fs::{File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -153,6 +161,7 @@ use serde::{Deserialize, Serialize, Value};
 
 use crate::error::{MorerError, WAL_FORMAT_VERSION};
 use crate::pipeline::IngestReport;
+use crate::replication::FollowerState;
 use crate::repository::{ClusterEntry, ModelRepository};
 
 /// File name of the base snapshot inside a WAL directory.
@@ -163,7 +172,7 @@ pub const LOG_FILE: &str = "wal.log";
 /// rename; a leftover (crash between write and rename) is discarded on open.
 const BASE_TMP: &str = "base.json.tmp";
 
-pub(crate) const WAL_MAGIC: [u8; 8] = *b"MORERWAL";
+const WAL_MAGIC: [u8; 8] = *b"MORERWAL";
 /// Log file header: 8 magic bytes + u32 LE format version. Also the byte
 /// offset of the first record frame — the offset a log-shipping follower
 /// tails from after a (re)sync (see the module docs).
@@ -311,8 +320,8 @@ pub struct Recovered {
     /// Records replayed on top of the base snapshot (skipped
     /// already-compacted records not included).
     pub replayed: u64,
-    /// Torn/corrupt tail bytes truncated away during recovery (0 on a
-    /// clean open).
+    /// Torn/corrupt tail bytes truncated away during recovery, a torn
+    /// file header included (0 on a clean open).
     pub truncated_bytes: u64,
 }
 
@@ -398,7 +407,7 @@ impl Wal {
         std::fs::create_dir_all(dir)?;
         // a crash between base-tmp write and rename leaves a stale tmp
         let _ = std::fs::remove_file(dir.join(BASE_TMP));
-        let (mut repository, base_epoch, compactions) = read_base(dir)?;
+        let (repository, base_epoch, compactions) = read_base(dir)?;
 
         let log_path = dir.join(LOG_FILE);
         let bytes = match std::fs::read(&log_path) {
@@ -408,70 +417,21 @@ impl Wal {
         };
         let file_len = bytes.len() as u64;
 
+        // replay through the follower state machine (see "Replay rules")
+        let mut follower = FollowerState::new(repository, base_epoch, compactions);
         let mut valid_end: u64 = 0;
-        let mut epoch = base_epoch;
         let mut replayed: u64 = 0;
         let mut log_records: u64 = 0;
         if file_len >= HEADER_LEN {
-            if bytes[..8] != WAL_MAGIC {
-                return Err(MorerError::LogCorrupt {
-                    offset: 0,
-                    reason: format!(
-                        "{} does not start with the MORERWAL magic (not a write-ahead log)",
-                        log_path.display()
-                    ),
-                });
-            }
-            let version =
-                u64::from(u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")));
-            if version > WAL_FORMAT_VERSION {
-                return Err(MorerError::UnsupportedVersion { found: version });
-            }
-            valid_end = HEADER_LEN;
-            loop {
-                let offset = valid_end as usize;
-                let remaining = bytes.len() - offset;
-                if remaining == 0 {
-                    break;
-                }
-                if remaining < FRAME_HEADER_LEN {
-                    break; // torn frame header
-                }
-                let len =
-                    u32::from_le_bytes(bytes[offset..offset + 4].try_into().expect("4 bytes"));
-                if len > MAX_RECORD_BYTES {
-                    break; // corrupted length prefix
-                }
-                let len = len as usize;
-                if remaining < FRAME_HEADER_LEN + len {
-                    break; // torn payload
-                }
-                let stored_hash = u64::from_le_bytes(
-                    bytes[offset + 4..offset + 12].try_into().expect("8 bytes"),
-                );
-                let payload = &bytes[offset + FRAME_HEADER_LEN..offset + FRAME_HEADER_LEN + len];
-                if content_hash(payload) != stored_hash {
-                    break; // bit-flipped record body
-                }
-                let Some(record) = decode_record(payload) else {
-                    break; // hash-valid but undecodable: treat as corrupt tail
-                };
-                if record.epoch > epoch {
-                    if record.epoch != epoch + 1 {
-                        break; // epoch gap: a commit is missing
-                    }
-                    if apply_record(&mut repository.entries, record).is_err() {
-                        break; // entry ids inconsistent with the store
-                    }
-                    epoch += 1;
-                    replayed += 1;
-                }
-                // records with epoch <= base epoch are compaction leftovers:
-                // integrity-checked and retained, but already folded in
-                valid_end += (FRAME_HEADER_LEN + len) as u64;
-                log_records += 1;
-            }
+            check_header(&bytes, &log_path)?;
+            let report = follower.ingest_segment(HEADER_LEN, &bytes[HEADER_LEN as usize..]);
+            valid_end = follower.offset();
+            replayed = report.applied;
+            log_records = report.applied + report.skipped;
         }
+        let truncated_bytes = file_len - valid_end;
+        let epoch = follower.epoch();
+        let repository = follower.into_repository();
 
         let mut log = OpenOptions::new().create(true).write(true).open(&log_path)?;
         if valid_end < HEADER_LEN {
@@ -503,7 +463,7 @@ impl Wal {
             repository,
             epoch,
             replayed,
-            truncated_bytes: file_len.saturating_sub(valid_end.min(file_len)),
+            truncated_bytes,
         })
     }
 
@@ -573,10 +533,7 @@ impl Wal {
                 format!("commit record of {} bytes exceeds the frame limit", payload.len()),
             )));
         }
-        let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
-        frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
-        frame.extend_from_slice(&content_hash(&payload).to_le_bytes());
-        frame.extend_from_slice(&payload);
+        let frame = encode_frame(&payload);
         self.log.write_all(&frame)?;
         self.log_bytes += frame.len() as u64;
         self.log_records += 1;
@@ -661,6 +618,71 @@ pub(crate) fn header_bytes() -> [u8; HEADER_LEN as usize] {
     header
 }
 
+/// Check a log file header: the `MORERWAL` magic, then a format version
+/// this build can read. `bytes` must hold at least [`HEADER_LEN`] bytes;
+/// `path` only names the file in the error.
+pub(crate) fn check_header(bytes: &[u8], path: &Path) -> Result<(), MorerError> {
+    if bytes[..8] != WAL_MAGIC {
+        return Err(MorerError::LogCorrupt {
+            offset: 0,
+            reason: format!(
+                "{} does not start with the MORERWAL magic (not a write-ahead log)",
+                path.display()
+            ),
+        });
+    }
+    let version = u64::from(u32::from_le_bytes(bytes[8..12].try_into().expect("4 bytes")));
+    if version > WAL_FORMAT_VERSION {
+        return Err(MorerError::UnsupportedVersion { found: version });
+    }
+    Ok(())
+}
+
+/// Frame one record payload: `[len u32 LE][FNV-1a u64 LE][payload]`.
+pub(crate) fn encode_frame(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(FRAME_HEADER_LEN + payload.len());
+    frame.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+    frame.extend_from_slice(&content_hash(payload).to_le_bytes());
+    frame.extend_from_slice(payload);
+    frame
+}
+
+/// What [`read_frame`] found at the front of a byte slice.
+#[derive(Debug, PartialEq, Eq)]
+pub(crate) enum Frame<'a> {
+    /// A whole frame whose length is in bounds and whose content hash
+    /// verifies; it spans [`FRAME_HEADER_LEN`] `+ payload.len()` bytes.
+    Whole(&'a [u8]),
+    /// Too few bytes to judge. Carries the whole frame's length once the
+    /// frame header is readable.
+    Short(Option<usize>),
+    /// The length prefix exceeds [`MAX_RECORD_BYTES`], or the payload's
+    /// content hash does not match the frame header.
+    Corrupt,
+}
+
+/// Read the frame at the front of `bytes` — the only parser of the frame
+/// header. Never panics, whatever the bytes.
+pub(crate) fn read_frame(bytes: &[u8]) -> Frame<'_> {
+    if bytes.len() < FRAME_HEADER_LEN {
+        return Frame::Short(None);
+    }
+    let len = u32::from_le_bytes(bytes[..4].try_into().expect("4 bytes"));
+    if len > MAX_RECORD_BYTES {
+        return Frame::Corrupt;
+    }
+    let whole = FRAME_HEADER_LEN + len as usize;
+    let Some(payload) = bytes.get(FRAME_HEADER_LEN..whole) else {
+        return Frame::Short(Some(whole));
+    };
+    let stored = u64::from_le_bytes(bytes[4..FRAME_HEADER_LEN].try_into().expect("8 bytes"));
+    if content_hash(payload) == stored {
+        Frame::Whole(payload)
+    } else {
+        Frame::Corrupt
+    }
+}
+
 pub(crate) fn decode_record(payload: &[u8]) -> Option<CommitRecord> {
     let text = std::str::from_utf8(payload).ok()?;
     serde_json::from_str(text).ok()
@@ -669,9 +691,8 @@ pub(crate) fn decode_record(payload: &[u8]) -> Option<CommitRecord> {
 /// Validate then apply one replayed record: every touched entry either
 /// replaces the entry at its id or appends at the store's end, and the
 /// store is truncated to the recorded post-commit length. Validation runs
-/// first so an inconsistent record mutates nothing. Shared by recovery
-/// ([`Wal::open`]) and the log-shipping follower ([`crate::replication`]) —
-/// the one replay path.
+/// first so an inconsistent record mutates nothing. Called only by
+/// [`FollowerState`], the one replay state machine.
 pub(crate) fn apply_record(
     entries: &mut Vec<ClusterEntry>,
     record: CommitRecord,
@@ -757,9 +778,9 @@ fn read_base(dir: &Path) -> Result<(ModelRepository, u64, u64), MorerError> {
 }
 
 /// Decode a base-snapshot envelope (`base.json` contents) into
-/// `(repository, epoch, compactions)`. Shared by [`Wal::open`] and the
-/// log-shipping follower's bootstrap path, which receives the same bytes
-/// over the wire.
+/// `(repository, epoch, compactions)`. Shared by [`Wal::open`] and
+/// [`FollowerState::from_base`], which receives the same bytes over the
+/// wire.
 pub(crate) fn decode_base(text: &str) -> Result<(ModelRepository, u64, u64), MorerError> {
     let corrupt = |reason: String| MorerError::LogCorrupt { offset: 0, reason };
     let envelope = serde_json::from_str_value(&text)
@@ -876,6 +897,30 @@ mod tests {
             b"this is somebody else's data file"
         );
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn torn_header_counts_its_bytes_as_truncated() {
+        let dir = tmp("torn_header");
+        std::fs::create_dir_all(&dir).unwrap();
+        std::fs::write(dir.join(LOG_FILE), &header_bytes()[..5]).unwrap();
+        let recovered = Wal::open(&dir, WalOptions::default()).unwrap();
+        assert_eq!(recovered.truncated_bytes, 5);
+        assert_eq!(recovered.epoch, 0);
+        assert_eq!(recovered.wal.state().log_bytes, HEADER_LEN, "rewritten with a fresh header");
+        assert_eq!(std::fs::read(dir.join(LOG_FILE)).unwrap(), header_bytes());
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn encoded_frames_read_back_whole_and_hash_their_payload() {
+        let frame = encode_frame(b"payload");
+        assert_eq!(frame[..4], 7u32.to_le_bytes());
+        assert_eq!(frame[4..12], content_hash(b"payload").to_le_bytes());
+        assert_eq!(read_frame(&frame), Frame::Whole(b"payload"));
+        assert_eq!(read_frame(&frame[..11]), Frame::Short(None));
+        assert_eq!(read_frame(&frame[..12]), Frame::Short(Some(frame.len())));
+        assert_eq!(read_frame(&encode_frame(b"")), Frame::Whole(b""));
     }
 
     #[test]

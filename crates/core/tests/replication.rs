@@ -23,6 +23,7 @@ use morer_core::replication::{FollowerState, SegmentStatus};
 use morer_core::repository::ModelRepository;
 use morer_core::testutil::family_problem;
 use morer_core::wal::{Durability, WalOptions, HEADER_LEN, LOG_FILE};
+use morer_core::wal::{content_hash, CommitRecord, Wal, BASE_FILE};
 use morer_data::ErProblem;
 use morer_ml::model::ModelConfig;
 
@@ -164,7 +165,98 @@ proptest! {
         prop_assert_eq!(state.epoch(), fx.final_epoch);
         prop_assert_eq!(canonical_bytes(&state.repository()), fx.final_bytes.clone());
     }
+
+    /// Robustness: a valid log cut anywhere and followed by arbitrary
+    /// bytes never panics recovery, and recovery lands exactly where a
+    /// follower bootstrapped from the same base lands over the same bytes
+    /// — recovery replays through the follower for *any* input.
+    #[test]
+    fn recovery_over_arbitrary_tail_bytes_equals_the_follower(
+        cut_frac in 0.0f64..=1.0,
+        tail in proptest::collection::vec(any::<u8>(), 0..64),
+    ) {
+        let fx = fixture();
+        let cut = ((cut_frac * fx.frames.len() as f64) as usize).min(fx.frames.len());
+        let dir = scratch_dir("arbitrary_tail");
+        drop(Wal::create(&dir, options(), &ModelRepository::default(), 0).unwrap());
+        let mut log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+        log.extend_from_slice(&fx.frames[..cut]);
+        log.extend_from_slice(&tail);
+        std::fs::write(dir.join(LOG_FILE), &log).unwrap();
+        let base = std::fs::read_to_string(dir.join(BASE_FILE)).unwrap();
+
+        let mut follower = FollowerState::from_base(&base).unwrap();
+        follower.ingest_segment(HEADER_LEN, &log[HEADER_LEN as usize..]);
+        let recovered = Wal::open(&dir, options()).unwrap();
+        prop_assert_eq!(recovered.epoch, follower.epoch());
+        prop_assert!(recovered.epoch >= whole_frames_before(&fx.boundaries, cut));
+        prop_assert_eq!(
+            canonical_bytes(&recovered.repository),
+            canonical_bytes(&follower.repository())
+        );
+        prop_assert_eq!(recovered.wal.state().log_bytes, follower.offset());
+        prop_assert_eq!(recovered.truncated_bytes, log.len() as u64 - follower.offset());
+    }
+
+    /// Robustness: mutate payload bytes of one frame and recompute its
+    /// hash, so the frame verifies and the JSON decoder sees the mutated
+    /// text. Nothing panics, an undecodable frame applies nothing, the
+    /// offset only ever advances by whole frames, and recovery over the
+    /// same log agrees with the follower.
+    #[test]
+    fn rehashed_payload_mutations_never_apply_an_undecodable_frame(
+        frame in 0usize..4,
+        edits in proptest::collection::vec((0.0f64..1.0, 0usize..JSON_BYTES.len()), 1..4),
+    ) {
+        let fx = fixture();
+        let (lo, hi) = (fx.boundaries[frame], fx.boundaries[frame + 1]);
+        let mut payload = fx.frames[lo + 12..hi].to_vec();
+        for &(pos_frac, sym) in &edits {
+            let pos = ((pos_frac * payload.len() as f64) as usize).min(payload.len() - 1);
+            payload[pos] = JSON_BYTES[sym];
+        }
+        let mut mutated = fx.frames.clone();
+        mutated[lo + 4..lo + 12].copy_from_slice(&content_hash(&payload).to_le_bytes());
+        mutated[lo + 12..hi].copy_from_slice(&payload);
+
+        let mut state = FollowerState::empty();
+        let report = state.ingest_segment(HEADER_LEN, &mutated);
+        let consumed = (state.offset() - HEADER_LEN) as usize;
+        prop_assert!(fx.boundaries.contains(&consumed), "offset {} is mid-frame", consumed);
+        prop_assert_eq!(
+            report.applied + report.skipped,
+            whole_frames_before(&fx.boundaries, consumed)
+        );
+        prop_assert!(report.applied >= frame as u64, "frames before the mutation apply");
+        let decodes = std::str::from_utf8(&payload)
+            .ok()
+            .and_then(|text| serde_json::from_str::<CommitRecord>(text).ok())
+            .is_some();
+        if !decodes {
+            prop_assert_eq!(report.applied, frame as u64);
+            prop_assert_eq!(state.epoch(), frame as u64);
+            prop_assert_eq!(consumed, lo);
+            prop_assert_eq!(report.status, SegmentStatus::Corrupt);
+        }
+
+        let dir = scratch_dir("rehashed_mutation");
+        drop(Wal::create(&dir, options(), &ModelRepository::default(), 0).unwrap());
+        let mut log = std::fs::read(dir.join(LOG_FILE)).unwrap();
+        log.extend_from_slice(&mutated);
+        std::fs::write(dir.join(LOG_FILE), &log).unwrap();
+        let recovered = Wal::open(&dir, options()).unwrap();
+        prop_assert_eq!(recovered.epoch, state.epoch());
+        prop_assert_eq!(
+            canonical_bytes(&recovered.repository),
+            canonical_bytes(&state.repository())
+        );
+    }
 }
+
+/// Replacement bytes for payload mutations: JSON punctuation, digits and
+/// literal letters, so mutated payloads often still parse as JSON and
+/// reach the `CommitRecord` decoder.
+const JSON_BYTES: &[u8] = b"0123456789-+.eE\"{}[]:,ntrufals \\";
 
 /// Satellite: group commit (deferred appends + one shared sync) produces a
 /// log whose recovery is bit-identical to the per-commit-fsync log of the

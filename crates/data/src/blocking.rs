@@ -3,7 +3,7 @@
 //! The pipeline's default is *token blocking* on a text attribute: records
 //! sharing at least one word token become candidates. Oversized blocks
 //! (stop-word-like tokens) are skipped, which is the standard guard against
-//! quadratic blow-up [31].
+//! quadratic blow-up \[31\].
 //!
 //! Two implementations share the same semantics:
 //!
@@ -210,7 +210,7 @@ pub fn key_blocking(
 
 /// Sorted-neighbourhood blocking: both sources are merged, sorted by a key,
 /// and a window of size `window` slides over the sorted list; records within
-/// the same window whose sources differ become candidates [31].
+/// the same window whose sources differ become candidates \[31\].
 pub fn sorted_neighborhood(
     a: &[Record],
     b: &[Record],

@@ -2,7 +2,7 @@
 //!
 //! The paper's MusicBrainz benchmark was produced by corrupting clean records
 //! along axes such as "the number of missing values, the length of values,
-//! and the ratio of errors" (§5.1, citing the DAPO corruptor [15]). This
+//! and the ratio of errors" (§5.1, citing the DAPO corruptor \[15\]). This
 //! module reimplements those corruption operators; a [`SourceProfile`]
 //! bundles per-source rates so that different sources exhibit genuinely
 //! different similarity distributions — the property MoRER's distribution

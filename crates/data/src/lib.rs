@@ -13,7 +13,7 @@
 //!   datasets — camera/Dexter-like, computer/WDC-like, music/MusicBrainz-like
 //!   (see DESIGN.md §3 for the substitution rationale);
 //! * [`blocking`]: token and key blocking to produce candidate record pairs;
-//! * [`problem`]: the [`ErProblem`](problem::ErProblem) type — similarity
+//! * [`problem`]: the [`ErProblem`] type — similarity
 //!   feature vectors `w` with labels for one data-source pair — plus the
 //!   benchmark bundles with initial/unsolved splits;
 //! * [`csvio`]: CSV export/import of ER problems.

@@ -285,7 +285,7 @@ impl ComparisonScheme {
     }
 
     /// The per-attribute cache requirements of this scheme (what a
-    /// [`crate::profile::Profiler`] must fill for [`Self::compare_profiled`]).
+    /// [`crate::profile::ProfileSet`] must fill for [`Self::compare_profiled`]).
     pub fn profile_spec(&self) -> ProfileSpec {
         ProfileSpec::from_scheme(self)
     }

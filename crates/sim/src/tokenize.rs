@@ -17,7 +17,7 @@ use std::borrow::Cow;
 /// Inputs that are already in normalized form (ASCII lowercase alphanumerics
 /// separated by single spaces) are borrowed rather than copied — the common
 /// case on pre-cleaned data and on re-normalization of cached
-/// [`crate::profile::AttrProfile`] strings.
+/// [`crate::profile::ProfileSet`] strings.
 pub fn normalize(s: &str) -> Cow<'_, str> {
     if is_normalized_ascii(s) {
         return Cow::Borrowed(s);
