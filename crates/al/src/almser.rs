@@ -9,8 +9,8 @@
 //! * predicted matches sitting on a *weak minimum cut* of their component are
 //!   **false-positive candidates**;
 //! * components whose predicted edges are dense ("cleaned connected
-//!   components") contribute **graph-inferred labels** that augment the
-//!   training data without spending budget.
+//!   components") yield **graph-inferred labels**. They are collected but
+//!   not yet used to train the forest, so they change no selection.
 //!
 //! Each iteration trains a random forest, rebuilds the graph, ranks unlabeled
 //! pairs by graph/model disagreement plus committee uncertainty, and queries
@@ -24,7 +24,6 @@ use morer_graph::components::{component_members, connected_components};
 use morer_graph::mincut::stoer_wagner;
 use morer_graph::Graph;
 use morer_ml::forest::{RandomForest, RandomForestConfig};
-use morer_ml::TrainingSet;
 use morer_sim::par;
 
 /// Configuration for [`AlmserAl`].
@@ -36,7 +35,9 @@ pub struct AlmserConfig {
     pub batch_size: usize,
     /// Forest used as the committee/classifier.
     pub forest: RandomForestConfig,
-    /// Use graph-inferred labels from cleaned connected components.
+    /// Collect graph-inferred labels from cleaned connected components.
+    /// Each round's forest is fit on the human labels only, so this flag
+    /// changes no selection.
     pub graph_inferred_labels: bool,
     /// Predicted-edge density above which a component counts as "clean".
     pub clean_density: f64,
@@ -214,7 +215,7 @@ impl ActiveLearner for AlmserAl {
             if unlabeled.is_empty() {
                 break;
             }
-            // train on human labels + (capped) graph-inferred pseudo labels
+            // train on the human labels only
             let mut training = pool.training_set();
             let forest = RandomForest::fit(
                 &training,
@@ -228,8 +229,10 @@ impl ActiveLearner for AlmserAl {
             });
             let signals = self.analyze_graph(pool, &records, &proba);
 
-            // retrain with inferred labels for the *next* scoring round is
-            // folded in here: inferred labels refine the uncertainty ranking
+            // Appends up to 2 × |training| graph-inferred labels to
+            // `training`, which is not read again: the forest above is
+            // already fit and the next round refits from the pool, so the
+            // inferred labels change no ranking.
             if self.config.graph_inferred_labels && !signals.inferred.is_empty() {
                 let cap = training.len().max(8) * 2;
                 for &(row, label) in signals.inferred.iter().take(cap) {
@@ -260,16 +263,6 @@ impl ActiveLearner for AlmserAl {
         }
         AlResult::from_pool(pool)
     }
-}
-
-/// Train a forest on AL-selected data plus Almser's graph-inferred labels —
-/// the "cleaned connected components" label augmentation used when Almser
-/// runs standalone.
-pub fn train_with_inferred_labels(
-    training: &TrainingSet,
-    config: &RandomForestConfig,
-) -> RandomForest {
-    RandomForest::fit(training, config)
 }
 
 #[cfg(test)]

@@ -14,8 +14,9 @@ use rand::SeedableRng;
 use crate::pool::{AlPool, AlResult};
 use crate::uniqueness::UniquenessIndex;
 use crate::ActiveLearner;
-use morer_ml::sampling::bootstrap_sample;
-use morer_ml::tree::{DecisionTree, DecisionTreeConfig};
+use morer_ml::sampling::bootstrap_counts;
+use morer_ml::tree::{DecisionTree, DecisionTreeConfig, SortedColumns};
+use morer_ml::TrainingSet;
 
 /// Configuration for [`BootstrapAl`].
 #[derive(Debug, Clone)]
@@ -60,26 +61,41 @@ impl BootstrapAl {
         Self { config }
     }
 
-    /// Train the committee and return each unlabeled row's vote fraction.
-    fn committee_votes(&self, pool: &AlPool, unlabeled: &[usize], round: u64) -> Vec<f64> {
-        let training = pool.training_set();
-        let tree_config = DecisionTreeConfig {
+    fn tree_config(&self) -> DecisionTreeConfig {
+        DecisionTreeConfig {
             max_depth: self.config.tree_depth,
             min_samples_split: 2,
             min_samples_leaf: 1,
             max_features: None,
-        };
-        let committee: Vec<DecisionTree> =
-            par::map_indexed(self.config.committee_size.max(1), 1, |i| {
-                let mut rng = SmallRng::seed_from_u64(
-                    self.config
-                        .seed
-                        .wrapping_add(round.wrapping_mul(0x9E37_79B9))
-                        .wrapping_add(i as u64 * 0x85EB_CA6B),
-                );
-                let sample = bootstrap_sample(&training, &mut rng);
-                DecisionTree::fit(&sample, &tree_config, &mut rng)
-            });
+        }
+    }
+
+    /// The RNG of committee member `i` in AL round `round`: it draws the
+    /// member's bootstrap resample.
+    fn member_rng(&self, round: u64, i: usize) -> SmallRng {
+        SmallRng::seed_from_u64(
+            self.config
+                .seed
+                .wrapping_add(round.wrapping_mul(0x9E37_79B9))
+                .wrapping_add(i as u64 * 0x85EB_CA6B),
+        )
+    }
+
+    /// Train the committee of round `round`. The training set is sorted
+    /// once and every member fits from its bootstrap resample's counts.
+    fn committee(&self, training: &TrainingSet, round: u64) -> Vec<DecisionTree> {
+        let columns = SortedColumns::new(training);
+        let tree_config = self.tree_config();
+        par::map_indexed(self.config.committee_size.max(1), 1, |i| {
+            let mut rng = self.member_rng(round, i);
+            let counts = bootstrap_counts(columns.len(), &mut rng);
+            DecisionTree::fit_counts(&columns, &counts, &tree_config, &mut rng)
+        })
+    }
+
+    /// Train the committee and return each unlabeled row's vote fraction.
+    fn committee_votes(&self, pool: &AlPool, unlabeled: &[usize], round: u64) -> Vec<f64> {
+        let committee = self.committee(&pool.training_set(), round);
         par::map_indexed(unlabeled.len(), 256, |k| {
             let x = pool.features.row(unlabeled[k]);
             let votes = committee.iter().filter(|t| t.predict(x)).count();
@@ -142,6 +158,7 @@ mod tests {
     use super::*;
     use morer_data::ErProblem;
     use morer_ml::dataset::FeatureMatrix;
+    use morer_ml::sampling::bootstrap_sample;
 
     /// A synthetic problem whose boundary sits at mean-feature 0.5 with an
     /// ambiguous band around it.
@@ -286,6 +303,24 @@ mod tests {
         let a = base.select(&mut pool_a, 40);
         let b = weighted.select(&mut pool_b, 40);
         assert_ne!(a.selected_rows, b.selected_rows);
+    }
+
+    #[test]
+    fn committee_equals_reference_committee() {
+        let p = boundary_problem(120, 0);
+        let mut pool = AlPool::from_problems(&[&p]);
+        pool.seed_extremes(40);
+        let al = BootstrapAl::new(BootstrapConfig { committee_size: 12, ..Default::default() });
+        for (training, round) in [(pool.training_set(), 3), (TrainingSet::new(2), 0)] {
+            let reference: Vec<DecisionTree> = (0..al.config.committee_size)
+                .map(|i| {
+                    let mut rng = al.member_rng(round, i);
+                    let sample = bootstrap_sample(&training, &mut rng);
+                    DecisionTree::fit_reference(&sample, &al.tree_config(), &mut rng)
+                })
+                .collect();
+            assert_eq!(al.committee(&training, round), reference);
+        }
     }
 
     #[test]

@@ -10,7 +10,8 @@
 //! * [`almser::AlmserAl`] — graph-boosted AL (Primpeli & Bizer): a match
 //!   graph built from current predictions yields transitive-closure
 //!   false-negative candidates, weak-min-cut false-positive candidates, and
-//!   graph-inferred labels from cleaned connected components;
+//!   graph-inferred labels from cleaned connected components (collected,
+//!   not yet used for training);
 //! * [`random::RandomAl`] — uniform sampling under the same budget.
 //!
 //! All learners operate on an [`pool::AlPool`] — the flattened unlabeled

@@ -2,6 +2,7 @@
 //! of model generation and the Bootstrap committee).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
+use morer_bench::workload::{committee_training_set, fit_committee, fit_committee_reference};
 use morer_ml::forest::{RandomForest, RandomForestConfig};
 use morer_ml::linear::{LogisticRegression, LogisticRegressionConfig};
 use morer_ml::tree::{DecisionTree, DecisionTreeConfig};
@@ -39,6 +40,20 @@ fn bench_training(c: &mut Criterion) {
     group.finish();
 }
 
+/// Bootstrap AL's per-round committee fit: one shared sort and per-tree
+/// bootstrap counts, against materialized resamples with the sort-per-node
+/// reference fit. Both build the same trees (asserted before timing).
+fn bench_committee(c: &mut Criterion) {
+    let data = committee_training_set(1000, 5);
+    assert_eq!(fit_committee(&data, 100, 1), fit_committee_reference(&data, 100, 1));
+    let mut group = c.benchmark_group("bootstrap_committee_100x1000");
+    group.bench_function("presorted", |b| b.iter(|| fit_committee(black_box(&data), 100, 1)));
+    group.bench_function("reference", |b| {
+        b.iter(|| fit_committee_reference(black_box(&data), 100, 1))
+    });
+    group.finish();
+}
+
 fn bench_prediction(c: &mut Criterion) {
     let data = training_data(1000);
     let forest = RandomForest::fit(&data, &RandomForestConfig::default());
@@ -48,5 +63,5 @@ fn bench_prediction(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_training, bench_prediction);
+criterion_group!(benches, bench_training, bench_committee, bench_prediction);
 criterion_main!(benches);

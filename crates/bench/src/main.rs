@@ -187,7 +187,10 @@ fn main() {
 /// group-commit sync, `recovery_replay_s` cold-start log replay,
 /// `replica_catchup_records_per_s` follower bootstrap-plus-tail over the
 /// shipped log with `replica_lag_epochs` the post-catch-up lag,
-/// `serve_durable_ingest_per_s` fsync-acknowledged `/ingest` round trips).
+/// `serve_durable_ingest_per_s` fsync-acknowledged `/ingest` round trips)
+/// — and the Bootstrap committee fit (`committee_fit_s`: 100 presorted
+/// trees on 1 000 rows, `committee_fit_reference_s`: the same committee
+/// from materialized resamples with the sort-per-node reference fit).
 /// Every fast path is asserted against its reference implementation before
 /// being timed: the multi-threaded search results must equal the
 /// single-threaded ones, the indexed search must return exactly the
@@ -195,8 +198,9 @@ fn main() {
 /// bit-identical to batch construction after every arrival, every served
 /// solve response must decode bit-identical to its in-process equivalent,
 /// the replayed write-ahead log (per-commit and group-commit alike) must
-/// reproduce the in-memory snapshot byte-for-byte, and the caught-up
-/// follower must be bit-identical to the recovered writer.
+/// reproduce the in-memory snapshot byte-for-byte, the caught-up
+/// follower must be bit-identical to the recovered writer, and the
+/// presorted committee must equal the reference committee tree for tree.
 ///
 /// ```text
 /// cargo run -p morer-bench --release -- quick-bench
@@ -816,6 +820,20 @@ fn quick_bench(seed: u64) {
     );
     let _ = std::fs::remove_dir_all(&serve_wal_dir);
 
+    // --- Bootstrap committee fit: presorted counts vs sort-per-node ------
+    // 100 trees on 1 000 rows, the shape of a late Bootstrap AL round; the
+    // presorted committee must equal the reference tree for tree.
+    use morer_bench::workload::{committee_training_set, fit_committee, fit_committee_reference};
+    let committee_trees = 100;
+    let committee_data = committee_training_set(1_000, seed);
+    let start = Instant::now();
+    let committee = fit_committee(&committee_data, committee_trees, seed);
+    let committee_fit_s = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let committee_reference = fit_committee_reference(&committee_data, committee_trees, seed);
+    let committee_fit_reference_s = start.elapsed().as_secs_f64();
+    assert_eq!(committee, committee_reference, "presorted committee diverged from the reference");
+
     let analysis_direct_rate = an_pairs as f64 / analysis_direct_s;
     let analysis_sketched_rate = an_pairs as f64 / analysis_sketched_s;
     println!(
@@ -850,7 +868,10 @@ fn quick_bench(seed: u64) {
          \"replica_catchup_s\":{:.4},\"replica_catchup_records_per_s\":{:.1},\
          \"replica_lag_epochs\":{},\
          \"serve_durable_ingests\":{},\"serve_durable_ingest_s\":{:.4},\
-         \"serve_durable_ingest_per_s\":{:.1}}}",
+         \"serve_durable_ingest_per_s\":{:.1},\
+         \"committee_trees\":{},\"committee_rows\":{},\
+         \"committee_fit_s\":{:.4},\"committee_fit_reference_s\":{:.4},\
+         \"committee_fit_speedup\":{:.2}}}",
         workload.dataset.num_records(),
         pairs,
         workload.scheme.num_features(),
@@ -914,5 +935,10 @@ fn quick_bench(seed: u64) {
         durable_arrivals.len(),
         serve_durable_ingest_s,
         durable_arrivals.len() as f64 / serve_durable_ingest_s,
+        committee_trees,
+        committee_data.len(),
+        committee_fit_s,
+        committee_fit_reference_s,
+        committee_fit_reference_s / committee_fit_s,
     );
 }

@@ -10,8 +10,10 @@ use morer_core::repository::ClusterEntry;
 use morer_data::record::{DataSource, MultiSourceDataset, Record, Schema};
 use morer_data::vocab::{CAMERA_BRANDS, PRODUCT_ADJECTIVES, SONG_WORDS};
 use morer_data::ErProblem;
-use morer_ml::dataset::FeatureMatrix;
+use morer_ml::dataset::{FeatureMatrix, TrainingSet};
 use morer_ml::model::{ModelConfig, TrainedModel};
+use morer_ml::sampling::{bootstrap_counts, bootstrap_sample};
+use morer_ml::tree::{DecisionTree, DecisionTreeConfig, SortedColumns};
 use morer_sim::{AttributeComparator, ComparisonScheme, SimilarityFunction};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -258,6 +260,54 @@ pub fn repository_workload(
             let training = p.to_training_set();
             let model = TrainedModel::train(&ModelConfig::GaussianNb, &training);
             ClusterEntry::new(i, vec![i], model, training, 0)
+        })
+        .collect()
+}
+
+/// A Bootstrap-committee training set: `rows` labeled vectors of five
+/// similarity features rounded to 0.01 (so values tie, as real similarity
+/// features do), labeled a match when their mean exceeds 0.5, with 10% of
+/// the labels flipped so committee trees grow deep.
+///
+/// The `classifiers` criterion bench and `quick-bench` fit a committee on
+/// it with [`fit_committee`] and [`fit_committee_reference`].
+pub fn committee_training_set(rows: usize, seed: u64) -> TrainingSet {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0xB007);
+    let mut data = TrainingSet::new(5);
+    for _ in 0..rows {
+        let row: Vec<f64> = (0..5).map(|_| (rng.gen::<f64>() * 100.0).round() / 100.0).collect();
+        let is_match = row.iter().sum::<f64>() / 5.0 > 0.5;
+        data.push(&row, is_match != (rng.gen::<f64>() < 0.1));
+    }
+    data
+}
+
+/// Bootstrap AL's committee tree: depth 8, every feature at every split.
+fn committee_tree_config() -> DecisionTreeConfig {
+    DecisionTreeConfig { max_depth: 8, ..Default::default() }
+}
+
+/// Fit `size` trees the way Bootstrap AL does: sort `data` once, then fit
+/// member `i` from the counts of a bootstrap resample seeded `seed + i`.
+pub fn fit_committee(data: &TrainingSet, size: usize, seed: u64) -> Vec<DecisionTree> {
+    let columns = SortedColumns::new(data);
+    (0..size as u64)
+        .map(|i| {
+            let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(i));
+            let counts = bootstrap_counts(columns.len(), &mut rng);
+            DecisionTree::fit_counts(&columns, &counts, &committee_tree_config(), &mut rng)
+        })
+        .collect()
+}
+
+/// The committee of [`fit_committee`], fit from materialized resamples
+/// with the sort-per-node reference fit.
+pub fn fit_committee_reference(data: &TrainingSet, size: usize, seed: u64) -> Vec<DecisionTree> {
+    (0..size as u64)
+        .map(|i| {
+            let mut rng = SmallRng::seed_from_u64(seed.wrapping_add(i));
+            let sample = bootstrap_sample(data, &mut rng);
+            DecisionTree::fit_reference(&sample, &committee_tree_config(), &mut rng)
         })
         .collect()
 }

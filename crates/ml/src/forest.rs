@@ -10,8 +10,8 @@ use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
 use crate::dataset::TrainingSet;
-use crate::sampling::bootstrap_sample;
-use crate::tree::{DecisionTree, DecisionTreeConfig};
+use crate::sampling::bootstrap_counts;
+use crate::tree::{DecisionTree, DecisionTreeConfig, SortedColumns};
 
 /// Hyperparameters for [`RandomForest::fit`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -52,7 +52,8 @@ pub(crate) fn splitmix(seed: u64, stream: u64) -> u64 {
 impl RandomForest {
     /// Train `n_trees` trees in parallel, each on a bootstrap resample with
     /// feature subsampling. Trees come back in index order, so the forest is
-    /// the one a sequential loop over `0..n_trees` would build.
+    /// the one a sequential loop over `0..n_trees` would build. The data is
+    /// sorted once and every tree fits from its resample's counts.
     pub fn fit(data: &TrainingSet, config: &RandomForestConfig) -> Self {
         let max_features = config
             .max_features
@@ -63,10 +64,11 @@ impl RandomForest {
             min_samples_leaf: config.min_samples_leaf,
             max_features: Some(max_features.min(data.num_features().max(1))),
         };
+        let columns = SortedColumns::new(data);
         let trees = par::map_indexed(config.n_trees.max(1), 1, |i| {
             let mut rng = SmallRng::seed_from_u64(splitmix(config.seed, i as u64));
-            let sample = bootstrap_sample(data, &mut rng);
-            DecisionTree::fit(&sample, &tree_config, &mut rng)
+            let counts = bootstrap_counts(data.len(), &mut rng);
+            DecisionTree::fit_counts(&columns, &counts, &tree_config, &mut rng)
         });
         Self { trees }
     }
@@ -102,6 +104,7 @@ impl RandomForest {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sampling::bootstrap_sample;
     use rand::Rng;
 
     /// Noisy two-cluster data: match iff x0 + x1 > 1 with 10% label noise.
@@ -162,7 +165,7 @@ mod tests {
             .map(|i| {
                 let mut rng = SmallRng::seed_from_u64(splitmix(cfg.seed, i as u64));
                 let sample = bootstrap_sample(&data, &mut rng);
-                DecisionTree::fit(&sample, &tree_config, &mut rng)
+                DecisionTree::fit_reference(&sample, &tree_config, &mut rng)
             })
             .collect();
         assert_eq!(RandomForest::fit(&data, &cfg), RandomForest { trees });

@@ -5,7 +5,9 @@
 //!
 //! * [`FeatureMatrix`] / [`TrainingSet`]: dense row-major data with binary
 //!   match labels;
-//! * [`tree::DecisionTree`]: CART with Gini impurity;
+//! * [`tree::DecisionTree`]: CART with Gini impurity, sorted once per
+//!   training set ([`tree::SortedColumns`]) and fit from bootstrap
+//!   multiplicity counts;
 //! * [`forest::RandomForest`]: bagged trees with feature subsampling
 //!   (the default ER classifier, trees trained in parallel over
 //!   `morer_sim::par`);

@@ -28,7 +28,19 @@ pub fn bootstrap_indices(n: usize, rng: &mut SmallRng) -> Vec<usize> {
     (0..n).map(|_| rng.gen_range(0..n)).collect()
 }
 
-/// Bootstrap resample of a training set (used by the Bootstrap AL committee).
+/// Bootstrap resample as multiplicities: `counts[i]` is how often `i` is
+/// drawn. Makes the same `n` draws as [`bootstrap_indices`], so `rng` ends
+/// in the same state.
+pub fn bootstrap_counts(n: usize, rng: &mut SmallRng) -> Vec<u32> {
+    let mut counts = vec![0u32; n];
+    for _ in 0..n {
+        counts[rng.gen_range(0..n)] += 1;
+    }
+    counts
+}
+
+/// Bootstrap resample of a training set, materialized. Forests and the
+/// Bootstrap AL committee fit from [`bootstrap_counts`] instead.
 pub fn bootstrap_sample(data: &TrainingSet, rng: &mut SmallRng) -> TrainingSet {
     if data.is_empty() {
         return TrainingSet::new(data.num_features());

@@ -1,4 +1,25 @@
 //! CART decision-tree classifier with Gini impurity.
+//!
+//! # Presorted fitting
+//!
+//! Training sorts every feature once per training set ([`SortedColumns`]),
+//! not once per node. A node owns the same range `[lo, hi)` of every
+//! feature's sorted row list. A split sweeps those ranges in order, and
+//! then stably partitions each of them by the split predicate, so both
+//! children's ranges stay sorted. Trees fit from per-row multiplicity
+//! counts ([`DecisionTree::fit_counts`]): a bootstrap resample is a count
+//! vector over the shared sort, not a materialized copy, and every tree of
+//! a forest or committee shares one sort.
+//!
+//! The result equals sorting each node's materialized rows, tree for tree.
+//! A threshold falls only between two distinct consecutive values. At such
+//! a boundary the score depends only on the sorted value sequence and on
+//! the counts to its left, and the threshold only on the two values.
+//! Neither depends on the order among tied rows, nor on whether a
+//! duplicate is one row with count 2 or two rows; identical NaNs count as
+//! ties for this reason. Counts are exact integers in `f64`. The
+//! sort-per-node fit stays as the test oracle `DecisionTree::fit_reference`
+//! (built only for tests and under the `reference` feature).
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -39,20 +60,113 @@ pub struct DecisionTree {
     num_features: usize,
 }
 
+/// A training set sorted once for [`DecisionTree::fit_counts`]: a
+/// column-major copy of the values, the labels, and per feature the row ids
+/// in ascending `total_cmp` order of that feature.
+#[derive(Debug, Clone)]
+pub struct SortedColumns {
+    rows: usize,
+    num_features: usize,
+    /// Feature `f` of row `r` is `values[f * rows + r]`.
+    values: Vec<f64>,
+    labels: Vec<bool>,
+    /// Feature `f`'s row ids, sorted, are `order[f * rows..(f + 1) * rows]`.
+    order: Vec<u32>,
+}
+
+impl SortedColumns {
+    /// Copy `data` column-major and sort every feature.
+    ///
+    /// # Panics
+    /// Panics if `data` has more than `u32::MAX` rows.
+    pub fn new(data: &TrainingSet) -> Self {
+        let rows = data.len();
+        let ids = u32::try_from(rows).expect("SortedColumns holds at most u32::MAX rows");
+        let num_features = data.num_features();
+        let mut values = Vec::with_capacity(rows * num_features);
+        let mut order: Vec<u32> = Vec::with_capacity(rows * num_features);
+        for f in 0..num_features {
+            values.extend((0..rows).map(|r| data.x.get(r, f)));
+            let column = &values[f * rows..];
+            let start = order.len();
+            order.extend(0..ids);
+            order[start..].sort_by(|&a, &b| column[a as usize].total_cmp(&column[b as usize]));
+        }
+        Self { rows, num_features, values, labels: data.y.clone(), order }
+    }
+
+    /// Number of rows.
+    pub fn len(&self) -> usize {
+        self.rows
+    }
+
+    /// True when there are no rows.
+    pub fn is_empty(&self) -> bool {
+        self.rows == 0
+    }
+
+    fn column(&self, feature: usize) -> &[f64] {
+        &self.values[feature * self.rows..(feature + 1) * self.rows]
+    }
+
+    fn sorted(&self, feature: usize) -> &[u32] {
+        &self.order[feature * self.rows..(feature + 1) * self.rows]
+    }
+}
+
 impl DecisionTree {
     /// Train a tree. `rng` drives feature subsampling (only consulted when
     /// `max_features` is set).
     ///
     /// An empty training set yields a constant 0.0-probability stump.
     pub fn fit(data: &TrainingSet, config: &DecisionTreeConfig, rng: &mut SmallRng) -> Self {
-        let mut tree = Self { nodes: Vec::new(), num_features: data.num_features() };
-        if data.is_empty() {
-            tree.nodes.push(Node::Leaf { proba: 0.0 });
-            return tree;
+        Self::fit_counts(&SortedColumns::new(data), &vec![1; data.len()], config, rng)
+    }
+
+    /// Train a tree on the multiset that repeats row `r` of `columns`
+    /// `counts[r]` times. The tree equals [`DecisionTree::fit`] on that
+    /// multiset materialized in any row order, and `rng` is consumed the
+    /// same way.
+    ///
+    /// An empty multiset yields a constant 0.0-probability stump.
+    ///
+    /// # Panics
+    /// Panics if `counts.len() != columns.len()`.
+    pub fn fit_counts(
+        columns: &SortedColumns,
+        counts: &[u32],
+        config: &DecisionTreeConfig,
+        rng: &mut SmallRng,
+    ) -> Self {
+        assert_eq!(counts.len(), columns.len(), "one count per row");
+        let num_features = columns.num_features;
+        let (mut n, mut pos) = (0usize, 0usize);
+        for (&c, &label) in counts.iter().zip(&columns.labels) {
+            n += c as usize;
+            if label {
+                pos += c as usize;
+            }
         }
-        let indices: Vec<usize> = (0..data.len()).collect();
-        tree.build(data, indices, 0, config, rng);
-        tree
+        if n == 0 {
+            return Self { nodes: vec![Node::Leaf { proba: 0.0 }], num_features };
+        }
+        let live = counts.iter().filter(|&&c| c > 0).count();
+        let mut lists = Vec::with_capacity(live * num_features);
+        for f in 0..num_features {
+            lists.extend(columns.sorted(f).iter().filter(|&&r| counts[r as usize] > 0));
+        }
+        let mut grower = CountsGrower {
+            columns,
+            counts,
+            config,
+            lists,
+            live,
+            goes_left: vec![false; columns.len()],
+            spill: Vec::with_capacity(live),
+            nodes: Vec::new(),
+        };
+        grower.build(0, live, n, pos, 0, rng);
+        Self { nodes: grower.nodes, num_features }
     }
 
     /// Number of nodes (splits + leaves).
@@ -92,8 +206,221 @@ impl DecisionTree {
     pub fn predict(&self, x: &[f64]) -> bool {
         self.predict_proba(x) >= 0.5
     }
+}
 
+/// The features one split examines: all of them, or with `max_features`
+/// set a fresh shuffle truncated to that many (one RNG use per split).
+fn split_features(
+    num_features: usize,
+    config: &DecisionTreeConfig,
+    rng: &mut SmallRng,
+) -> Vec<usize> {
+    let mut features: Vec<usize> = (0..num_features).collect();
+    if let Some(k) = config.max_features {
+        features.shuffle(rng);
+        features.truncate(k.max(1).min(num_features));
+    }
+    features
+}
+
+/// The lowest weighted Gini impurity over the boundaries of sorted feature
+/// values offered to it, first boundary winning ties.
+struct SplitSearch {
+    n: f64,
+    total_pos: f64,
+    min_samples_leaf: usize,
+    /// `(feature, threshold, score)`.
+    best: Option<(usize, f64, f64)>,
+}
+
+impl SplitSearch {
+    fn new(n: usize, total_pos: usize, config: &DecisionTreeConfig) -> Self {
+        Self {
+            n: n as f64,
+            total_pos: total_pos as f64,
+            min_samples_leaf: config.min_samples_leaf,
+            best: None,
+        }
+    }
+
+    /// Score a threshold between consecutive sorted values `v_here` and
+    /// `v_next` of `feature`, with `left_n` samples, `left_pos` of them
+    /// positive, at or before `v_here`.
+    #[inline]
+    fn offer(&mut self, feature: usize, v_here: f64, v_next: f64, left_n: f64, left_pos: f64) {
+        // not a distinct boundary; identical NaNs are ties like any value
+        if v_next <= v_here || v_next.to_bits() == v_here.to_bits() {
+            return;
+        }
+        let right_n = self.n - left_n;
+        if (left_n as usize) < self.min_samples_leaf || (right_n as usize) < self.min_samples_leaf {
+            return;
+        }
+        let right_pos = self.total_pos - left_pos;
+        let gini = |cnt: f64, pos: f64| {
+            if cnt == 0.0 {
+                0.0
+            } else {
+                let p = pos / cnt;
+                2.0 * p * (1.0 - p)
+            }
+        };
+        let score = (left_n * gini(left_n, left_pos) + right_n * gini(right_n, right_pos)) / self.n;
+        if self.best.is_none_or(|(_, _, s)| score < s - 1e-15) {
+            // The midpoint can round up to v_next when the two values
+            // are adjacent floats, which would leave the right child
+            // empty (and its leaf probability 0/0). Fall back to
+            // v_here, which always separates the sides.
+            let mid = (v_here + v_next) / 2.0;
+            let threshold = if mid > v_here && mid < v_next { mid } else { v_here };
+            self.best = Some((feature, threshold, score));
+        }
+    }
+
+    fn split(self) -> Option<(usize, f64)> {
+        self.best.map(|(f, t, _)| (f, t))
+    }
+}
+
+/// Grows one tree from multiplicity counts over a [`SortedColumns`].
+struct CountsGrower<'a> {
+    columns: &'a SortedColumns,
+    counts: &'a [u32],
+    config: &'a DecisionTreeConfig,
+    /// Feature `f`'s sorted rows with a nonzero count are
+    /// `lists[f * live..(f + 1) * live]`; a node owns the same `[lo, hi)`
+    /// of every feature's list.
+    lists: Vec<u32>,
+    live: usize,
+    /// Scratch: the side of each row of the node being split.
+    goes_left: Vec<bool>,
+    /// Scratch: the right-hand rows of the list being partitioned.
+    spill: Vec<u32>,
+    nodes: Vec<Node>,
+}
+
+impl CountsGrower<'_> {
+    fn list(&self, feature: usize, lo: usize, hi: usize) -> &[u32] {
+        &self.lists[feature * self.live + lo..feature * self.live + hi]
+    }
+
+    fn leaf(&mut self, proba: f64) -> usize {
+        self.nodes.push(Node::Leaf { proba });
+        self.nodes.len() - 1
+    }
+
+    /// Grow the subtree of the node owning `[lo, hi)`, which holds `n`
+    /// samples, `pos` of them positive. Nodes are pushed in depth-first
+    /// order, left before right.
     fn build(
+        &mut self,
+        lo: usize,
+        hi: usize,
+        n: usize,
+        pos: usize,
+        depth: usize,
+        rng: &mut SmallRng,
+    ) -> usize {
+        let proba = pos as f64 / n as f64;
+        let pure = pos == 0 || pos == n;
+        if pure || depth >= self.config.max_depth || n < self.config.min_samples_split {
+            return self.leaf(proba);
+        }
+        let Some((feature, threshold)) = self.best_split(lo, hi, n, pos, rng) else {
+            return self.leaf(proba);
+        };
+        let column = self.columns.column(feature);
+        let (mut left_rows, mut left_n, mut left_pos) = (0usize, 0usize, 0usize);
+        for &r in &self.lists[feature * self.live + lo..feature * self.live + hi] {
+            let r = r as usize;
+            let left = column[r] <= threshold;
+            self.goes_left[r] = left;
+            if left {
+                left_rows += 1;
+                left_n += self.counts[r] as usize;
+                if self.columns.labels[r] {
+                    left_pos += self.counts[r] as usize;
+                }
+            }
+        }
+        if left_rows == 0 || left_rows == hi - lo {
+            // defensive: a degenerate split must never create an empty child
+            return self.leaf(proba);
+        }
+        for f in 0..self.columns.num_features {
+            let list = &mut self.lists[f * self.live + lo..f * self.live + hi];
+            self.spill.clear();
+            let mut kept = 0;
+            for i in 0..list.len() {
+                let r = list[i];
+                if self.goes_left[r as usize] {
+                    list[kept] = r;
+                    kept += 1;
+                } else {
+                    self.spill.push(r);
+                }
+            }
+            list[kept..].copy_from_slice(&self.spill);
+        }
+        // placeholder, patched after children are built
+        let node_id = self.leaf(proba);
+        let mid = lo + left_rows;
+        let left = self.build(lo, mid, left_n, left_pos, depth + 1, rng);
+        let right = self.build(mid, hi, n - left_n, pos - left_pos, depth + 1, rng);
+        self.nodes[node_id] = Node::Split { feature, threshold, left, right };
+        node_id
+    }
+
+    /// Best split over (a sample of) features: sweep each feature's sorted
+    /// range, adding each row's count to the left side.
+    fn best_split(
+        &self,
+        lo: usize,
+        hi: usize,
+        n: usize,
+        pos: usize,
+        rng: &mut SmallRng,
+    ) -> Option<(usize, f64)> {
+        let mut search = SplitSearch::new(n, pos, self.config);
+        for feature in split_features(self.columns.num_features, self.config, rng) {
+            let column = self.columns.column(feature);
+            let (mut left_n, mut left_pos) = (0.0f64, 0.0f64);
+            for pair in self.list(feature, lo, hi).windows(2) {
+                let (r, next) = (pair[0] as usize, pair[1] as usize);
+                let c = self.counts[r] as f64;
+                left_n += c;
+                if self.columns.labels[r] {
+                    left_pos += c;
+                }
+                search.offer(feature, column[r], column[next], left_n, left_pos);
+            }
+        }
+        search.split()
+    }
+}
+
+/// The sort-per-node fit that presorting replaced, kept as the oracle the
+/// presorted fit is tested and benchmarked against.
+#[cfg(any(test, feature = "reference"))]
+impl DecisionTree {
+    /// Train a tree like [`DecisionTree::fit`], re-sorting every node's
+    /// rows for every examined feature.
+    pub fn fit_reference(
+        data: &TrainingSet,
+        config: &DecisionTreeConfig,
+        rng: &mut SmallRng,
+    ) -> Self {
+        let mut tree = Self { nodes: Vec::new(), num_features: data.num_features() };
+        if data.is_empty() {
+            tree.nodes.push(Node::Leaf { proba: 0.0 });
+            return tree;
+        }
+        let indices: Vec<usize> = (0..data.len()).collect();
+        tree.build_reference(data, indices, 0, config, rng);
+        tree
+    }
+
+    fn build_reference(
         &mut self,
         data: &TrainingSet,
         indices: Vec<usize>,
@@ -109,92 +436,55 @@ impl DecisionTree {
             self.nodes.push(Node::Leaf { proba });
             return self.nodes.len() - 1;
         }
-        let Some((feature, threshold)) = self.best_split(data, &indices, config, rng) else {
+        let Some((feature, threshold)) = self.best_split_reference(data, &indices, config, rng)
+        else {
             self.nodes.push(Node::Leaf { proba });
             return self.nodes.len() - 1;
         };
         let (left_idx, right_idx): (Vec<usize>, Vec<usize>) =
             indices.into_iter().partition(|&i| data.x.get(i, feature) <= threshold);
         if left_idx.is_empty() || right_idx.is_empty() {
-            // defensive: a degenerate split must never create an empty child
             self.nodes.push(Node::Leaf { proba });
             return self.nodes.len() - 1;
         }
-        // placeholder, patched after children are built
         let node_id = self.nodes.len();
         self.nodes.push(Node::Leaf { proba });
-        let left = self.build(data, left_idx, depth + 1, config, rng);
-        let right = self.build(data, right_idx, depth + 1, config, rng);
+        let left = self.build_reference(data, left_idx, depth + 1, config, rng);
+        let right = self.build_reference(data, right_idx, depth + 1, config, rng);
         self.nodes[node_id] = Node::Split { feature, threshold, left, right };
         node_id
     }
 
-    /// Exhaustive best split over (a sample of) features: sort by value, sweep
-    /// candidate thresholds at midpoints between distinct values, minimize
-    /// weighted Gini impurity.
-    fn best_split(
+    fn best_split_reference(
         &self,
         data: &TrainingSet,
         indices: &[usize],
         config: &DecisionTreeConfig,
         rng: &mut SmallRng,
     ) -> Option<(usize, f64)> {
-        let n = indices.len() as f64;
-        let total_pos = indices.iter().filter(|&&i| data.y[i]).count() as f64;
-
-        let mut features: Vec<usize> = (0..self.num_features).collect();
-        if let Some(k) = config.max_features {
-            features.shuffle(rng);
-            features.truncate(k.max(1).min(self.num_features));
-        }
-
-        let mut best: Option<(usize, f64, f64)> = None; // (feature, threshold, score)
+        let pos = indices.iter().filter(|&&i| data.y[i]).count();
+        let mut search = SplitSearch::new(indices.len(), pos, config);
         let mut sorted: Vec<usize> = Vec::with_capacity(indices.len());
-        for &feature in &features {
+        for feature in split_features(self.num_features, config, rng) {
             sorted.clear();
             sorted.extend_from_slice(indices);
             sorted.sort_by(|&a, &b| data.x.get(a, feature).total_cmp(&data.x.get(b, feature)));
-            let mut left_n = 0.0f64;
-            let mut left_pos = 0.0f64;
-            for w in 0..sorted.len() - 1 {
-                let i = sorted[w];
+            let (mut left_n, mut left_pos) = (0.0f64, 0.0f64);
+            for pair in sorted.windows(2) {
                 left_n += 1.0;
-                if data.y[i] {
+                if data.y[pair[0]] {
                     left_pos += 1.0;
                 }
-                let v_here = data.x.get(i, feature);
-                let v_next = data.x.get(sorted[w + 1], feature);
-                if v_next <= v_here {
-                    continue; // not a distinct boundary
-                }
-                let right_n = n - left_n;
-                if (left_n as usize) < config.min_samples_leaf
-                    || (right_n as usize) < config.min_samples_leaf
-                {
-                    continue;
-                }
-                let right_pos = total_pos - left_pos;
-                let gini = |cnt: f64, pos: f64| {
-                    if cnt == 0.0 {
-                        0.0
-                    } else {
-                        let p = pos / cnt;
-                        2.0 * p * (1.0 - p)
-                    }
-                };
-                let score = (left_n * gini(left_n, left_pos) + right_n * gini(right_n, right_pos)) / n;
-                if best.is_none_or(|(_, _, s)| score < s - 1e-15) {
-                    // The midpoint can round up to v_next when the two values
-                    // are adjacent floats, which would leave the right child
-                    // empty (and its leaf probability 0/0). Fall back to
-                    // v_here, which always separates the sides.
-                    let mid = (v_here + v_next) / 2.0;
-                    let threshold = if mid > v_here && mid < v_next { mid } else { v_here };
-                    best = Some((feature, threshold, score));
-                }
+                search.offer(
+                    feature,
+                    data.x.get(pair[0], feature),
+                    data.x.get(pair[1], feature),
+                    left_n,
+                    left_pos,
+                );
             }
         }
-        best.map(|(f, t, _)| (f, t))
+        search.split()
     }
 }
 

@@ -2,15 +2,18 @@
 
 use proptest::prelude::*;
 use rand::rngs::SmallRng;
-use rand::SeedableRng;
+use rand::seq::SliceRandom;
+use rand::{Rng, SeedableRng};
 
 use morer_ml::dataset::TrainingSet;
 use morer_ml::forest::{RandomForest, RandomForestConfig};
 use morer_ml::linear::{LogisticRegression, LogisticRegressionConfig};
 use morer_ml::metrics::PairCounts;
 use morer_ml::naive_bayes::GaussianNb;
-use morer_ml::sampling::{k_fold_indices, stratified_indices, train_test_split};
-use morer_ml::tree::{DecisionTree, DecisionTreeConfig};
+use morer_ml::sampling::{
+    bootstrap_counts, bootstrap_indices, k_fold_indices, stratified_indices, train_test_split,
+};
+use morer_ml::tree::{DecisionTree, DecisionTreeConfig, SortedColumns};
 
 fn labeled_rows() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
     proptest::collection::vec(
@@ -22,6 +25,33 @@ fn labeled_rows() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
         let y: Vec<bool> = rows.iter().map(|(_, l)| *l).collect();
         (x, y)
     })
+}
+
+/// A feature value: codes below 9 pick a value that stresses ties and
+/// boundaries (signed zeros, infinities, NaNs of both signs, adjacent
+/// floats); the rest round `x` to a quarter, so rows tie often.
+fn feature_value(code: usize, x: f64) -> f64 {
+    match code {
+        0 => 0.0,
+        1 => -0.0,
+        2 => 0.5,
+        3 => f64::from_bits(0.5f64.to_bits() + 1),
+        4 => 1.0,
+        5 => f64::INFINITY,
+        6 => f64::NEG_INFINITY,
+        7 => f64::NAN,
+        8 => -f64::NAN,
+        _ => (x * 4.0).floor() / 4.0,
+    }
+}
+
+/// Rows of up to four feature-value codes, each with a label and a
+/// multiplicity count (zero included).
+fn weighted_rows() -> impl Strategy<Value = Vec<(Vec<(usize, f64)>, bool, u32)>> {
+    proptest::collection::vec(
+        (proptest::collection::vec((0usize..14, 0.0f64..1.0), 4..=4), any::<bool>(), 0u32..=3),
+        0..40,
+    )
 }
 
 proptest! {
@@ -113,5 +143,69 @@ proptest! {
         prop_assert_eq!(c.tp + c.fn_, positives);
         let predicted = outcomes.iter().filter(|(p, _)| *p).count() as u64;
         prop_assert_eq!(c.tp + c.fp, predicted);
+    }
+
+    #[test]
+    fn bootstrap_counts_is_the_index_histogram(n in 0usize..200, seed in any::<u64>()) {
+        let mut by_counts = SmallRng::seed_from_u64(seed);
+        let mut by_indices = SmallRng::seed_from_u64(seed);
+        let counts = bootstrap_counts(n, &mut by_counts);
+        let mut histogram = vec![0u32; n];
+        for i in bootstrap_indices(n, &mut by_indices) {
+            histogram[i] += 1;
+        }
+        prop_assert_eq!(counts, histogram);
+        prop_assert_eq!(by_counts.gen::<u64>(), by_indices.gen::<u64>());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(512))]
+
+    #[test]
+    fn presorted_fit_equals_reference_fit(
+        rows in weighted_rows(),
+        num_features in 1usize..=4,
+        max_features in 0usize..=4,
+        min_samples_leaf in 1usize..=4,
+        min_samples_split in 2usize..=5,
+        max_depth in 0usize..=12,
+        seed in any::<u64>(),
+    ) {
+        let x: Vec<Vec<f64>> = rows
+            .iter()
+            .map(|(cells, _, _)| {
+                cells[..num_features].iter().map(|&(c, v)| feature_value(c, v)).collect()
+            })
+            .collect();
+        let y: Vec<bool> = rows.iter().map(|&(_, label, _)| label).collect();
+        let counts: Vec<u32> = rows.iter().map(|&(_, _, count)| count).collect();
+        let mut data = TrainingSet::from_rows(&x, &y);
+        if rows.is_empty() {
+            data = TrainingSet::new(num_features);
+        }
+        let config = DecisionTreeConfig {
+            max_depth,
+            min_samples_split,
+            min_samples_leaf,
+            max_features: (max_features > 0).then_some(max_features),
+        };
+
+        // the multiset, materialized in a shuffled row order
+        let mut multiset: Vec<usize> =
+            (0..counts.len()).flat_map(|r| std::iter::repeat_n(r, counts[r] as usize)).collect();
+        multiset.shuffle(&mut SmallRng::seed_from_u64(seed ^ 1));
+        let materialized = data.select(&multiset);
+
+        let mut presorted_rng = SmallRng::seed_from_u64(seed);
+        let mut reference_rng = SmallRng::seed_from_u64(seed);
+        let columns = SortedColumns::new(&data);
+        let presorted = DecisionTree::fit_counts(&columns, &counts, &config, &mut presorted_rng);
+        let reference = DecisionTree::fit_reference(&materialized, &config, &mut reference_rng);
+        prop_assert_eq!(&presorted, &reference);
+        prop_assert_eq!(presorted_rng.gen::<u64>(), reference_rng.gen::<u64>());
+
+        let mut fit_rng = SmallRng::seed_from_u64(seed);
+        prop_assert_eq!(DecisionTree::fit(&materialized, &config, &mut fit_rng), reference);
     }
 }
