@@ -12,9 +12,10 @@
 //!   components") yield **graph-inferred labels**. They are collected but
 //!   not yet used to train the forest, so they change no selection.
 //!
-//! Each iteration trains a random forest, rebuilds the graph, ranks unlabeled
-//! pairs by graph/model disagreement plus committee uncertainty, and queries
-//! the top batch.
+//! Each iteration trains a random forest, scores the whole pool in one batch
+//! walk ([`RandomForest::predict_proba_rows`]), rebuilds the graph, ranks
+//! unlabeled pairs by graph/model disagreement plus committee uncertainty,
+//! and queries the top batch.
 
 use std::collections::HashMap;
 
@@ -159,12 +160,11 @@ impl AlmserAl {
                 fn_candidate[row] = true;
             }
             if pred && same_comp {
-                if let (density, Some(weak_side)) = &comp_stats[comp[ia]] {
+                if let (_, Some(weak_side)) = &comp_stats[comp[ia]] {
                     let in_side = |node: usize| weak_side.contains(&node);
                     if in_side(ia) != in_side(ib) {
                         fp_candidate[row] = true;
                     }
-                    let _ = density;
                 }
             }
             if self.config.graph_inferred_labels && pool.label_of(row).is_none() {
@@ -208,6 +208,7 @@ impl ActiveLearner for AlmserAl {
 
         pool.seed_extremes(self.config.seed_size.min(budget));
         let records = RecordIndex::new(pool);
+        let all_rows: Vec<usize> = (0..pool.len()).collect();
 
         let mut round = 0u64;
         while spent(pool) < budget {
@@ -224,9 +225,7 @@ impl ActiveLearner for AlmserAl {
                     ..self.config.forest.clone()
                 },
             );
-            let proba: Vec<f64> = par::map_indexed(pool.len(), 512, |row| {
-                forest.predict_proba(pool.features.row(row))
-            });
+            let proba = forest.predict_proba_rows(&pool.features, &all_rows);
             let signals = self.analyze_graph(pool, &records, &proba);
 
             // Appends up to 2 × |training| graph-inferred labels to
@@ -395,8 +394,8 @@ mod tests {
         });
         let training = pool.training_set();
         let forest = RandomForest::fit(&training, &al.config.forest);
-        let proba: Vec<f64> =
-            (0..pool.len()).map(|r| forest.predict_proba(pool.features.row(r))).collect();
+        let rows: Vec<usize> = (0..pool.len()).collect();
+        let proba = forest.predict_proba_rows(&pool.features, &rows);
         let signals = al.analyze_graph(&pool, &RecordIndex::new(&pool), &proba);
         // at least one of the weak transitive pairs must be flagged
         let flagged = (0..pool.len())

@@ -6,6 +6,11 @@
 //! vote fraction (Eq. 10). The extension of Eqs. 11-12 multiplies in a
 //! record-uniqueness weight. The highest-scoring batch is queried, and the
 //! loop repeats until the budget is exhausted.
+//!
+//! Per round the committee is fit from one shared sort
+//! ([`SortedColumns`]), and its votes over the unlabeled rows are counted
+//! in one batch walk ([`fold_leaves`]) that equals the per-row vote bit
+//! for bit.
 
 use morer_sim::par;
 use rand::rngs::SmallRng;
@@ -15,7 +20,7 @@ use crate::pool::{AlPool, AlResult};
 use crate::uniqueness::UniquenessIndex;
 use crate::ActiveLearner;
 use morer_ml::sampling::bootstrap_counts;
-use morer_ml::tree::{DecisionTree, DecisionTreeConfig, SortedColumns};
+use morer_ml::tree::{fold_leaves, DecisionTree, DecisionTreeConfig, SortedColumns};
 use morer_ml::TrainingSet;
 
 /// Configuration for [`BootstrapAl`].
@@ -94,13 +99,15 @@ impl BootstrapAl {
     }
 
     /// Train the committee and return each unlabeled row's vote fraction.
+    /// The hard votes (`p >= 0.5`) are counted in one batch walk of the
+    /// committee over the rows ([`fold_leaves`]).
     fn committee_votes(&self, pool: &AlPool, unlabeled: &[usize], round: u64) -> Vec<f64> {
         let committee = self.committee(&pool.training_set(), round);
-        par::map_indexed(unlabeled.len(), 256, |k| {
-            let x = pool.features.row(unlabeled[k]);
-            let votes = committee.iter().filter(|t| t.predict(x)).count();
-            votes as f64 / committee.len() as f64
-        })
+        let k = committee.len() as f64;
+        let votes = fold_leaves(&committee, &pool.features, unlabeled, 0u32, |v, p| {
+            v + u32::from(p >= 0.5)
+        });
+        votes.into_iter().map(|v| f64::from(v) / k).collect()
     }
 }
 

@@ -1,8 +1,11 @@
 //! Microbenchmarks of classifier training and prediction (the cost centres
-//! of model generation and the Bootstrap committee).
+//! of model generation and the Bootstrap committee fit and vote).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion};
-use morer_bench::workload::{committee_training_set, fit_committee, fit_committee_reference};
+use morer_bench::workload::{
+    committee_pool, committee_training_set, committee_votes, committee_votes_reference,
+    fit_committee, fit_committee_reference,
+};
 use morer_ml::forest::{RandomForest, RandomForestConfig};
 use morer_ml::linear::{LogisticRegression, LogisticRegressionConfig};
 use morer_ml::tree::{DecisionTree, DecisionTreeConfig};
@@ -54,6 +57,21 @@ fn bench_committee(c: &mut Criterion) {
     group.finish();
 }
 
+/// Bootstrap AL's per-round vote: the 100-tree committee over a
+/// 20 000-row pool, from one block-partition walk against the per-row
+/// walk. Both count the same votes (asserted before timing).
+fn bench_committee_vote(c: &mut Criterion) {
+    let committee = fit_committee(&committee_training_set(1000, 5), 100, 1);
+    let pool = committee_pool(20_000, 5);
+    assert_eq!(committee_votes(&committee, &pool), committee_votes_reference(&committee, &pool));
+    let mut group = c.benchmark_group("bootstrap_vote_100x20k");
+    group.bench_function("batch", |b| b.iter(|| committee_votes(&committee, black_box(&pool))));
+    group.bench_function("per_row", |b| {
+        b.iter(|| committee_votes_reference(&committee, black_box(&pool)))
+    });
+    group.finish();
+}
+
 fn bench_prediction(c: &mut Criterion) {
     let data = training_data(1000);
     let forest = RandomForest::fit(&data, &RandomForestConfig::default());
@@ -63,5 +81,5 @@ fn bench_prediction(c: &mut Criterion) {
     });
 }
 
-criterion_group!(benches, bench_training, bench_committee, bench_prediction);
+criterion_group!(benches, bench_training, bench_committee, bench_committee_vote, bench_prediction);
 criterion_main!(benches);

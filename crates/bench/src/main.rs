@@ -190,7 +190,10 @@ fn main() {
 /// `serve_durable_ingest_per_s` fsync-acknowledged `/ingest` round trips)
 /// — and the Bootstrap committee fit (`committee_fit_s`: 100 presorted
 /// trees on 1 000 rows, `committee_fit_reference_s`: the same committee
-/// from materialized resamples with the sort-per-node reference fit).
+/// from materialized resamples with the sort-per-node reference fit) and
+/// its vote (`committee_vote_s`: that committee's match votes over a
+/// 20 000-row pool from one block-partition walk,
+/// `committee_vote_reference_s`: the same votes from the per-row walk).
 /// Every fast path is asserted against its reference implementation before
 /// being timed: the multi-threaded search results must equal the
 /// single-threaded ones, the indexed search must return exactly the
@@ -199,8 +202,9 @@ fn main() {
 /// solve response must decode bit-identical to its in-process equivalent,
 /// the replayed write-ahead log (per-commit and group-commit alike) must
 /// reproduce the in-memory snapshot byte-for-byte, the caught-up
-/// follower must be bit-identical to the recovered writer, and the
-/// presorted committee must equal the reference committee tree for tree.
+/// follower must be bit-identical to the recovered writer, the
+/// presorted committee must equal the reference committee tree for tree,
+/// and the batch committee votes must equal the per-row votes row for row.
 ///
 /// ```text
 /// cargo run -p morer-bench --release -- quick-bench
@@ -834,6 +838,19 @@ fn quick_bench(seed: u64) {
     let committee_fit_reference_s = start.elapsed().as_secs_f64();
     assert_eq!(committee, committee_reference, "presorted committee diverged from the reference");
 
+    // --- Bootstrap committee vote: block-partition walk vs per-row walk --
+    // the committee above votes over a 20 000-row pool, about the size of
+    // a construct AL pool; the batch votes must equal the per-row ones.
+    use morer_bench::workload::{committee_pool, committee_votes, committee_votes_reference};
+    let vote_pool = committee_pool(20_000, seed);
+    let start = Instant::now();
+    let votes = committee_votes(&committee, &vote_pool);
+    let committee_vote_s = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let votes_reference = committee_votes_reference(&committee, &vote_pool);
+    let committee_vote_reference_s = start.elapsed().as_secs_f64();
+    assert_eq!(votes, votes_reference, "batch committee votes diverged from the per-row walk");
+
     let analysis_direct_rate = an_pairs as f64 / analysis_direct_s;
     let analysis_sketched_rate = an_pairs as f64 / analysis_sketched_s;
     println!(
@@ -871,7 +888,10 @@ fn quick_bench(seed: u64) {
          \"serve_durable_ingest_per_s\":{:.1},\
          \"committee_trees\":{},\"committee_rows\":{},\
          \"committee_fit_s\":{:.4},\"committee_fit_reference_s\":{:.4},\
-         \"committee_fit_speedup\":{:.2}}}",
+         \"committee_fit_speedup\":{:.2},\
+         \"committee_vote_rows\":{},\
+         \"committee_vote_s\":{:.4},\"committee_vote_reference_s\":{:.4},\
+         \"committee_vote_speedup\":{:.2}}}",
         workload.dataset.num_records(),
         pairs,
         workload.scheme.num_features(),
@@ -940,5 +960,9 @@ fn quick_bench(seed: u64) {
         committee_fit_s,
         committee_fit_reference_s,
         committee_fit_reference_s / committee_fit_s,
+        vote_pool.rows(),
+        committee_vote_s,
+        committee_vote_reference_s,
+        committee_vote_reference_s / committee_vote_s,
     );
 }

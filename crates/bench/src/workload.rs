@@ -13,8 +13,8 @@ use morer_data::ErProblem;
 use morer_ml::dataset::{FeatureMatrix, TrainingSet};
 use morer_ml::model::{ModelConfig, TrainedModel};
 use morer_ml::sampling::{bootstrap_counts, bootstrap_sample};
-use morer_ml::tree::{DecisionTree, DecisionTreeConfig, SortedColumns};
-use morer_sim::{AttributeComparator, ComparisonScheme, SimilarityFunction};
+use morer_ml::tree::{fold_leaves, DecisionTree, DecisionTreeConfig, SortedColumns};
+use morer_sim::{par, AttributeComparator, ComparisonScheme, SimilarityFunction};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -312,6 +312,38 @@ pub fn fit_committee_reference(data: &TrainingSet, size: usize, seed: u64) -> Ve
         .collect()
 }
 
+/// A Bootstrap-committee scoring pool: `rows` unlabeled vectors shaped
+/// like [`committee_training_set`]'s (five similarity features rounded to
+/// 0.01), drawn from their own stream.
+///
+/// The `classifiers` criterion bench and `quick-bench` vote a committee
+/// over it with [`committee_votes`] and [`committee_votes_reference`].
+pub fn committee_pool(rows: usize, seed: u64) -> FeatureMatrix {
+    let mut rng = SmallRng::seed_from_u64(seed ^ 0x9001);
+    let mut pool = FeatureMatrix::new(5);
+    for _ in 0..rows {
+        let row: Vec<f64> = (0..5).map(|_| (rng.gen::<f64>() * 100.0).round() / 100.0).collect();
+        pool.push_row(&row);
+    }
+    pool
+}
+
+/// Each pool row's match votes (`p >= 0.5`) across `committee`, counted
+/// the way Bootstrap AL counts them: one batch walk ([`fold_leaves`]).
+pub fn committee_votes(committee: &[DecisionTree], pool: &FeatureMatrix) -> Vec<u32> {
+    let rows: Vec<usize> = (0..pool.rows()).collect();
+    fold_leaves(committee, pool, &rows, 0u32, |v, p| v + u32::from(p >= 0.5))
+}
+
+/// The votes of [`committee_votes`] from the per-row walk that batch
+/// evaluation replaced: every row walks every tree, rows in parallel.
+pub fn committee_votes_reference(committee: &[DecisionTree], pool: &FeatureMatrix) -> Vec<u32> {
+    par::map_indexed(pool.rows(), 256, |r| {
+        let x = pool.row(r);
+        committee.iter().filter(|t| t.predict(x)).count() as u32
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -371,5 +403,15 @@ mod tests {
             .filter(|&&(a, b)| w.dataset.is_match(a, b))
             .count();
         assert!(matches > 0, "workload should contain some true matches");
+    }
+
+    #[test]
+    fn committee_votes_equal_the_per_row_walk() {
+        let committee = fit_committee(&committee_training_set(200, 3), 10, 3);
+        let pool = committee_pool(700, 3);
+        assert_eq!(pool.rows(), 700);
+        let votes = committee_votes(&committee, &pool);
+        assert_eq!(votes, committee_votes_reference(&committee, &pool));
+        assert!(votes.iter().any(|&v| v > 0 && v < 10), "some rows must split the vote");
     }
 }

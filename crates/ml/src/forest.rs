@@ -9,9 +9,9 @@ use rand::rngs::SmallRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::TrainingSet;
+use crate::dataset::{FeatureMatrix, TrainingSet};
 use crate::sampling::bootstrap_counts;
-use crate::tree::{DecisionTree, DecisionTreeConfig, SortedColumns};
+use crate::tree::{fold_leaves, DecisionTree, DecisionTreeConfig, SortedColumns};
 
 /// Hyperparameters for [`RandomForest::fit`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -83,21 +83,25 @@ impl RandomForest {
         if self.trees.is_empty() {
             return 0.0;
         }
-        self.trees.iter().map(|t| t.predict_proba(x)).sum::<f64>() / self.trees.len() as f64
+        let sum = self.trees.iter().map(|t| t.predict_proba(x)).fold(0.0, |s, p| s + p);
+        sum / self.trees.len() as f64
+    }
+
+    /// [`RandomForest::predict_proba`] of each of `rows` (indices into
+    /// `x`), bit for bit, from one batch walk of the trees
+    /// ([`fold_leaves`]).
+    pub fn predict_proba_rows(&self, x: &FeatureMatrix, rows: &[usize]) -> Vec<f64> {
+        if self.trees.is_empty() {
+            return vec![0.0; rows.len()];
+        }
+        let n = self.trees.len() as f64;
+        let sums = fold_leaves(&self.trees, x, rows, 0.0, |s, p| s + p);
+        sums.into_iter().map(|s| s / n).collect()
     }
 
     /// Hard prediction at the 0.5 threshold.
     pub fn predict(&self, x: &[f64]) -> bool {
         self.predict_proba(x) >= 0.5
-    }
-
-    /// Fraction of trees voting "match" — the committee vote used by
-    /// Bootstrap AL's uncertainty (Eq. 10 with each tree as one classifier).
-    pub fn vote_fraction(&self, x: &[f64]) -> f64 {
-        if self.trees.is_empty() {
-            return 0.0;
-        }
-        self.trees.iter().filter(|t| t.predict(x)).count() as f64 / self.trees.len() as f64
     }
 }
 
@@ -187,8 +191,6 @@ mod tests {
             let x = [i as f64 / 20.0, 1.0 - i as f64 / 20.0];
             let p = forest.predict_proba(&x);
             assert!((0.0..=1.0).contains(&p));
-            let v = forest.vote_fraction(&x);
-            assert!((0.0..=1.0).contains(&v));
         }
     }
 

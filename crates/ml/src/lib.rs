@@ -8,6 +8,10 @@
 //! * [`tree::DecisionTree`]: CART with Gini impurity, sorted once per
 //!   training set ([`tree::SortedColumns`]) and fit from bootstrap
 //!   multiplicity counts;
+//! * [`tree::fold_leaves`]: batch evaluation of many trees over many
+//!   rows, in row blocks over `morer_sim::par`, bit-identical to walking
+//!   each row through each tree (the Bootstrap committee vote and
+//!   [`RandomForest::predict_proba_rows`]);
 //! * [`forest::RandomForest`]: bagged trees with feature subsampling
 //!   (the default ER classifier, trees trained in parallel over
 //!   `morer_sim::par`);

@@ -20,12 +20,32 @@
 //! ties for this reason. Counts are exact integers in `f64`. The
 //! sort-per-node fit stays as the test oracle `DecisionTree::fit_reference`
 //! (built only for tests and under the `reference` feature).
+//!
+//! # Batch evaluation
+//!
+//! [`fold_leaves`] evaluates a slice of trees on many rows at once, for
+//! the Bootstrap committee vote and a forest's whole-pool probabilities
+//! ([`RandomForest::predict_proba_rows`](crate::RandomForest::predict_proba_rows)).
+//! Rows go in blocks of [`BLOCK`] over `morer_sim::par`; each block's
+//! values are copied column-major once. Each tree then splits the block's
+//! row ids node by node with a stable, branch-free partition on
+//! `x[f] <= t`: every id is written to the left and the right buffer and
+//! one counter advances by the comparison. Ids that reach a leaf stop
+//! there, so a shallow leaf costs its rows one pass, not the tree's depth.
+//!
+//! Each row reaches exactly one leaf per tree, and trees are walked in
+//! slice order, so a row's fold sees its leaf probabilities in the same
+//! order as the per-row walk `trees.iter().map(|t| t.predict_proba(row))`
+//! and the results are equal bit for bit. The comparison is the one
+//! [`DecisionTree::predict_proba`] makes, so NaNs go right and `±0.0`
+//! compare equal on both paths.
 
+use morer_sim::par;
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::TrainingSet;
+use crate::dataset::{FeatureMatrix, TrainingSet};
 
 /// Hyperparameters for [`DecisionTree::fit`].
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -206,6 +226,94 @@ impl DecisionTree {
     pub fn predict(&self, x: &[f64]) -> bool {
         self.predict_proba(x) >= 0.5
     }
+}
+
+/// Rows per block of [`fold_leaves`]: a block's values and row ids stay in
+/// cache while every tree partitions them.
+pub const BLOCK: usize = 256;
+
+/// Fold each tree's leaf probability, in slice order, into one value per
+/// row of `rows` (indices into `x`). Entry `i` of the result equals
+/// `trees.iter().map(|t| t.predict_proba(x.row(rows[i]))).fold(init, &f)`
+/// bit for bit; with no trees every entry is `init`. See the module docs'
+/// "Batch evaluation" for how the rows are walked.
+///
+/// # Panics
+/// Panics if a row index is out of range for `x`, or a tree tests a
+/// feature `x` does not have.
+pub fn fold_leaves<T, F>(
+    trees: &[DecisionTree],
+    x: &FeatureMatrix,
+    rows: &[usize],
+    init: T,
+    f: F,
+) -> Vec<T>
+where
+    T: Copy + Send + Sync,
+    F: Fn(T, f64) -> T + Sync,
+{
+    par::map_indexed(rows.len().div_ceil(BLOCK), 2, |b| {
+        let block = &rows[b * BLOCK..((b + 1) * BLOCK).min(rows.len())];
+        fold_block(trees, x, block, init, &f)
+    })
+    .concat()
+}
+
+/// [`fold_leaves`] on one nonempty block of at most [`BLOCK`] rows.
+fn fold_block<T: Copy>(
+    trees: &[DecisionTree],
+    x: &FeatureMatrix,
+    block: &[usize],
+    init: T,
+    f: &impl Fn(T, f64) -> T,
+) -> Vec<T> {
+    let n = block.len();
+    // feature `c` of block row `i` is `values[c * n + i]`
+    let mut values = vec![0.0; x.cols() * n];
+    for (i, &r) in block.iter().enumerate() {
+        for (c, &v) in x.row(r).iter().enumerate() {
+            values[c * n + i] = v;
+        }
+    }
+    let mut acc = vec![init; n];
+    let mut ids: Vec<u32> = Vec::with_capacity(n);
+    let mut spill = vec![0u32; n];
+    // `(node, lo, hi)`: the node owns `ids[lo..hi]`, never empty
+    let mut stack: Vec<(usize, usize, usize)> = Vec::new();
+    for tree in trees {
+        ids.clear();
+        ids.extend(0..n as u32);
+        stack.push((0, 0, n));
+        while let Some((node, lo, hi)) = stack.pop() {
+            match tree.nodes[node] {
+                Node::Leaf { proba } => {
+                    for &i in &ids[lo..hi] {
+                        acc[i as usize] = f(acc[i as usize], proba);
+                    }
+                }
+                Node::Split { feature, threshold, left, right } => {
+                    let column = &values[feature * n..(feature + 1) * n];
+                    // left ids are written in place (`mid <= k`), right
+                    // ids to `spill`; only the counter depends on the test
+                    let mut mid = lo;
+                    for k in lo..hi {
+                        let i = ids[k];
+                        ids[mid] = i;
+                        spill[k - mid] = i;
+                        mid += usize::from(column[i as usize] <= threshold);
+                    }
+                    ids[mid..hi].copy_from_slice(&spill[..hi - mid]);
+                    if mid < hi {
+                        stack.push((right, mid, hi));
+                    }
+                    if lo < mid {
+                        stack.push((left, lo, mid));
+                    }
+                }
+            }
+        }
+    }
+    acc
 }
 
 /// The features one split examines: all of them, or with `max_features`

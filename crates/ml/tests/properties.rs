@@ -5,7 +5,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::{Rng, SeedableRng};
 
-use morer_ml::dataset::TrainingSet;
+use morer_ml::dataset::{FeatureMatrix, TrainingSet};
 use morer_ml::forest::{RandomForest, RandomForestConfig};
 use morer_ml::linear::{LogisticRegression, LogisticRegressionConfig};
 use morer_ml::metrics::PairCounts;
@@ -13,7 +13,7 @@ use morer_ml::naive_bayes::GaussianNb;
 use morer_ml::sampling::{
     bootstrap_counts, bootstrap_indices, k_fold_indices, stratified_indices, train_test_split,
 };
-use morer_ml::tree::{DecisionTree, DecisionTreeConfig, SortedColumns};
+use morer_ml::tree::{fold_leaves, DecisionTree, DecisionTreeConfig, SortedColumns, BLOCK};
 
 fn labeled_rows() -> impl Strategy<Value = (Vec<Vec<f64>>, Vec<bool>)> {
     proptest::collection::vec(
@@ -207,5 +207,67 @@ proptest! {
 
         let mut fit_rng = SmallRng::seed_from_u64(seed);
         prop_assert_eq!(DecisionTree::fit(&materialized, &config, &mut fit_rng), reference);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    #[test]
+    fn fold_leaves_equals_per_row_walk(
+        rows in weighted_rows(),
+        queries in proptest::collection::vec(proptest::collection::vec((0usize..14, 0.0f64..1.0), 4..=4), 1..24),
+        num_features in 1usize..=4,
+        n_trees in 1usize..=5,
+        max_depth in 0usize..=12,
+        length in 0usize..6,
+        seed in any::<u64>(),
+    ) {
+        let value_row = |cells: &[(usize, f64)]| -> Vec<f64> {
+            cells[..num_features].iter().map(|&(c, v)| feature_value(c, v)).collect()
+        };
+        let x: Vec<Vec<f64>> = rows.iter().map(|(cells, _, _)| value_row(cells)).collect();
+        let y: Vec<bool> = rows.iter().map(|&(_, label, _)| label).collect();
+        let counts: Vec<u32> = rows.iter().map(|&(_, _, count)| count).collect();
+        let mut data = TrainingSet::from_rows(&x, &y);
+        if rows.is_empty() {
+            data = TrainingSet::new(num_features);
+        }
+        let columns = SortedColumns::new(&data);
+        let config = DecisionTreeConfig { max_depth, ..Default::default() };
+        let mut rng = SmallRng::seed_from_u64(seed);
+        let trees: Vec<DecisionTree> =
+            (0..n_trees).map(|_| DecisionTree::fit_counts(&columns, &counts, &config, &mut rng)).collect();
+
+        // unsorted row ids with duplicates, around the block boundaries
+        let x = FeatureMatrix::from_rows(&queries.iter().map(|q| value_row(q)).collect::<Vec<_>>());
+        let len = [0, 1, BLOCK - 1, BLOCK, BLOCK + 1, 2 * BLOCK + 3][length];
+        let ids: Vec<usize> = (0..len).map(|_| rng.gen_range(0..x.rows())).collect();
+
+        let vote = |v: u32, p: f64| v + u32::from(p >= 0.5);
+        let sum = |s: f64, p: f64| s + p;
+        let walk = |r: usize| {
+            let row = x.row(r);
+            trees.iter().map(move |t| t.predict_proba(row))
+        };
+        let votes = fold_leaves(&trees, &x, &ids, 0u32, vote);
+        let sums = fold_leaves(&trees, &x, &ids, 0.0, sum);
+        prop_assert_eq!(votes.len(), len);
+        prop_assert_eq!(sums.len(), len);
+        for (k, &r) in ids.iter().enumerate() {
+            prop_assert_eq!(votes[k], walk(r).fold(0u32, vote));
+            prop_assert_eq!(sums[k].to_bits(), walk(r).fold(0.0, sum).to_bits());
+        }
+        prop_assert!(fold_leaves(&[], &x, &ids, 7u32, vote).iter().all(|&v| v == 7));
+
+        let forest = RandomForest::fit(&data, &RandomForestConfig { n_trees, max_depth, seed, ..Default::default() });
+        let proba = forest.predict_proba_rows(&x, &ids);
+        prop_assert_eq!(proba.len(), len);
+        for (k, &r) in ids.iter().enumerate() {
+            prop_assert_eq!(proba[k].to_bits(), forest.predict_proba(x.row(r)).to_bits());
+        }
+        let no_trees = serde::Value::Map(vec![("trees".into(), serde::Value::Seq(Vec::new()))]);
+        let empty = <RandomForest as serde::Deserialize>::from_value(&no_trees).unwrap();
+        prop_assert!(empty.predict_proba_rows(&x, &ids).iter().all(|&p| p.to_bits() == 0.0f64.to_bits()));
     }
 }
