@@ -8,14 +8,12 @@
 //! quick-bench` prints the same comparison as part of its JSON line).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use morer_bench::workload::analysis_workload;
+use morer_bench::workload::{analysis_workload, singleton_entries};
 use morer_core::distribution::{
-    build_problem_graph_direct, build_problem_graph_with, AnalysisOptions, DistributionTest,
+    build_problem_graph_direct, build_problem_graph_sketched, AnalysisOptions, DistributionTest,
 };
-use morer_core::repository::ClusterEntry;
 use morer_core::selection::best_entry_for;
 use morer_data::ErProblem;
-use morer_ml::model::{ModelConfig, TrainedModel};
 
 fn bench_graph_build(c: &mut Criterion) {
     // scaled-down workload so the direct path fits a bench iteration
@@ -32,22 +30,13 @@ fn bench_graph_build(c: &mut Criterion) {
         b.iter(|| build_problem_graph_direct(black_box(&refs), &opts, 0.5))
     });
     group.bench_function("sketched", |b| {
-        b.iter(|| build_problem_graph_with(black_box(&refs), &opts, 0.5))
+        b.iter(|| build_problem_graph_sketched(black_box(&refs), &opts, 0.5).0)
     });
     group.finish();
 }
 
 fn bench_search(c: &mut Criterion) {
-    let problems = analysis_workload(8, 800, 6, 7);
-    let entries: Vec<ClusterEntry> = problems
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let training = p.to_training_set();
-            let model = TrainedModel::train(&ModelConfig::GaussianNb, &training);
-            ClusterEntry::new(i, vec![i], model, training, 0)
-        })
-        .collect();
+    let entries = singleton_entries(&analysis_workload(8, 800, 6, 7));
     let queries = analysis_workload(4, 800, 6, 99);
     let opts = AnalysisOptions::new(DistributionTest::KolmogorovSmirnov, 4000, 42);
 

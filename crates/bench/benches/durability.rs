@@ -10,13 +10,13 @@
 use std::path::PathBuf;
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use morer_bench::workload::analysis_workload;
+use morer_bench::workload::{analysis_workload, singleton_entries};
 use morer_core::config::{MorerConfig, TrainingMode};
 use morer_core::pipeline::Morer;
-use morer_core::repository::{ClusterEntry, ModelRepository};
+use morer_core::repository::ModelRepository;
 use morer_core::wal::{CommitRecord, Durability, Wal, WalOptions};
 use morer_data::ErProblem;
-use morer_ml::model::{ModelConfig, TrainedModel};
+use morer_ml::model::ModelConfig;
 
 fn bench_config() -> MorerConfig {
     MorerConfig {
@@ -35,17 +35,7 @@ fn scratch(name: &str) -> PathBuf {
 
 /// A small trained repository: the entry payload each commit record carries.
 fn repository(entries: usize) -> ModelRepository {
-    let problems = analysis_workload(entries, 600, 6, 42);
-    let entries = problems
-        .iter()
-        .enumerate()
-        .map(|(i, p)| {
-            let training = p.to_training_set();
-            let model = TrainedModel::train(&ModelConfig::GaussianNb, &training);
-            ClusterEntry::new(i, vec![i], model, training, 0)
-        })
-        .collect();
-    ModelRepository { entries }
+    ModelRepository { entries: singleton_entries(&analysis_workload(entries, 600, 6, 42)) }
 }
 
 fn record(repo: &ModelRepository, epoch: u64) -> CommitRecord {

@@ -7,7 +7,6 @@
 //! -- quick-bench` prints the same comparison as a JSON line).
 
 use criterion::{black_box, criterion_group, criterion_main, Criterion, Throughput};
-use morer_bench::seed_reference::seed_build_features;
 use morer_bench::workload::featurization_workload;
 use morer_data::ErProblem;
 
@@ -18,15 +17,6 @@ fn bench_featurization(c: &mut Criterion) {
     let mut group = c.benchmark_group("featurization");
     group.throughput(Throughput::Elements(workload.pairs.len() as u64));
     group.sample_size(10);
-    group.bench_function("seed_strings", |b| {
-        b.iter(|| {
-            seed_build_features(
-                black_box(&workload.dataset),
-                &workload.scheme,
-                &workload.pairs,
-            )
-        })
-    });
     group.bench_function("cold_strings", |b| {
         b.iter(|| {
             ErProblem::build_cold(

@@ -1,5 +1,4 @@
 //! Shared benchmark support for the `morer-bench` binary and the criterion
 //! benches: reproducible workload generators.
 
-pub mod seed_reference;
 pub mod workload;

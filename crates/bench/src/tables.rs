@@ -6,6 +6,22 @@ use morer_ml::metrics::PairCounts;
 use crate::runs::{dataset_key, find, load_benchmark, BudgetSpec, RunResult};
 use crate::Options;
 
+/// The language-model baselines that `crates/baselines` replaces with
+/// hashed-embedding stand-ins; their columns are marked with a `*`.
+const STAND_INS: [&str; 4] = ["sudowoodo", "anymatch", "ditto", "unicorn"];
+
+const STAND_IN_FOOTNOTE: &str = "* stand-in: a hashed-embedding approximation from \
+    crates/baselines, not the paper's language model";
+
+/// `label` with a `*` suffix when `method` is one of the [`STAND_INS`].
+fn column_label(label: &str, method: &str) -> String {
+    if STAND_INS.contains(&method) {
+        format!("{label}*")
+    } else {
+        label.to_owned()
+    }
+}
+
 fn prf(counts: &PairCounts) -> String {
     format!("{:.2}/{:.2}/{:.2}", counts.precision(), counts.recall(), counts.f1())
 }
@@ -89,7 +105,7 @@ pub fn table4(matrix: &[RunResult]) {
     // budget-limited block
     print!("{:<2} {:>5}", "D", "B");
     for m in budget_methods {
-        print!(" {:>16}", m);
+        print!(" {:>16}", column_label(m, m));
     }
     println!();
     for dataset in &datasets {
@@ -108,7 +124,7 @@ pub fn table4(matrix: &[RunResult]) {
     // supervised block
     print!("\n{:<2} {:>5}", "D", "B");
     for m in supervised_methods {
-        print!(" {:>16}", m);
+        print!(" {:>16}", column_label(m, m));
     }
     println!();
     for dataset in &datasets {
@@ -124,6 +140,7 @@ pub fn table4(matrix: &[RunResult]) {
             println!();
         }
     }
+    println!("{STAND_IN_FOOTNOTE}");
 }
 
 /// Table 5: speedup factors of the MoRER variants over every other method.
@@ -174,7 +191,7 @@ pub fn table5(matrix: &[RunResult]) {
         println!("\n--- {variant} ---");
         print!("{:<4} {:>5}", "DS", "B");
         for (c, _) in &columns {
-            print!(" {:>7}", c);
+            print!(" {:>7}", column_label(c, column_method(c)));
         }
         println!();
         for dataset in &datasets {
@@ -201,4 +218,5 @@ pub fn table5(matrix: &[RunResult]) {
             }
         }
     }
+    println!("{STAND_IN_FOOTNOTE}");
 }

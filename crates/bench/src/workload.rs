@@ -241,19 +241,12 @@ pub fn repository_problems(
         .collect()
 }
 
-/// Build a deterministic model repository at a chosen scale: one
-/// [`ClusterEntry`] per [`repository_problems`] problem, each holding a
-/// trained `GaussianNb` model and the problem's labelled training set as
-/// representatives. The entries are exactly what `Morer::build` would
-/// store for singleton clusters, so searches over them exercise the real
-/// `sel_base` path.
-pub fn repository_workload(
-    n_entries: usize,
-    rows: usize,
-    features: usize,
-    seed: u64,
-) -> Vec<ClusterEntry> {
-    repository_problems(n_entries, rows, features, seed)
+/// One [`ClusterEntry`] per problem, each holding a trained `GaussianNb`
+/// model and the problem's labelled training set as representatives. The
+/// entries are exactly what `Morer::build` would store for singleton
+/// clusters, so searches over them exercise the real `sel_base` path.
+pub fn singleton_entries(problems: &[ErProblem]) -> Vec<ClusterEntry> {
+    problems
         .iter()
         .enumerate()
         .map(|(i, p)| {
@@ -262,6 +255,26 @@ pub fn repository_workload(
             ClusterEntry::new(i, vec![i], model, training, 0)
         })
         .collect()
+}
+
+/// Build a deterministic model repository at a chosen scale: the
+/// [`singleton_entries`] of [`repository_problems`].
+pub fn repository_workload(
+    n_entries: usize,
+    rows: usize,
+    features: usize,
+    seed: u64,
+) -> Vec<ClusterEntry> {
+    singleton_entries(&repository_problems(n_entries, rows, features, seed))
+}
+
+/// The `quick-bench` search repository: the [`singleton_entries`] of the
+/// first 8 problems of [`analysis_workload`]`(24, 2000, 6, seed)`, and the
+/// other 16 problems as queries.
+pub fn search_workload(seed: u64) -> (Vec<ClusterEntry>, Vec<ErProblem>) {
+    let mut problems = analysis_workload(24, 2000, 6, seed);
+    let queries = problems.split_off(8);
+    (singleton_entries(&problems), queries)
 }
 
 /// A Bootstrap-committee training set: `rows` labeled vectors of five

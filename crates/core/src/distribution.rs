@@ -161,18 +161,6 @@ fn pair_seed(seed: u64, i: usize, j: usize) -> u64 {
     seed ^ ((i as u64) << 20) ^ j as u64
 }
 
-/// `sim_p` between two feature samples (paper §4.2), in `[0, 1]`, with the
-/// default stddev weighting.
-pub fn problem_similarity<A: FeatureSample + ?Sized, B: FeatureSample + ?Sized>(
-    a: &A,
-    b: &B,
-    test: DistributionTest,
-    sample_cap: usize,
-    seed: u64,
-) -> f64 {
-    problem_similarity_with(a, b, &AnalysisOptions::new(test, sample_cap, seed))
-}
-
 /// `sim_p` with explicit [`AnalysisOptions`] — the direct (sketch-free)
 /// path. Kept as the reference implementation; it shares every numeric core
 /// with [`sketch_similarity`], so the two agree bit-for-bit whenever their
@@ -217,7 +205,7 @@ pub fn problem_similarity_with<A: FeatureSample + ?Sized, B: FeatureSample + ?Si
 /// moments) plus a capped row sample for the multivariate C2ST.
 ///
 /// Built once per feature sample in O(t·n log n) and reused across every
-/// pair comparison ([`build_problem_graph_with`]) and every solve
+/// pair comparison ([`build_problem_graph_sketched`]) and every solve
 /// (`ClusterEntry` caches the sketch of its representatives `P_C`).
 #[derive(Debug, Clone)]
 pub struct DistributionSketch {
@@ -410,33 +398,9 @@ fn sample_rows(m: &FeatureMatrix, cap: usize, seed: u64) -> FeatureMatrix {
 /// vertices are problems (indexed positionally), edges weighted by `sim_p`,
 /// pruned below `min_edge_similarity`. Problems are sketched once
 /// (O(problems)) and the O(P²) pair loop runs over the sketches on scoped
-/// threads.
-pub fn build_problem_graph(
-    problems: &[&ErProblem],
-    test: DistributionTest,
-    min_edge_similarity: f64,
-    sample_cap: usize,
-    seed: u64,
-) -> Graph {
-    build_problem_graph_with(
-        problems,
-        &AnalysisOptions::new(test, sample_cap, seed),
-        min_edge_similarity,
-    )
-}
-
-/// [`build_problem_graph`] with explicit [`AnalysisOptions`].
-pub fn build_problem_graph_with(
-    problems: &[&ErProblem],
-    opts: &AnalysisOptions,
-    min_edge_similarity: f64,
-) -> Graph {
-    build_problem_graph_sketched(problems, opts, min_edge_similarity).0
-}
-
-/// [`build_problem_graph_with`] that also returns the per-problem sketches,
-/// so callers that keep integrating problems (the `sel_cov` pipeline) can
-/// reuse them instead of re-sketching on every solve.
+/// threads. The sketches are returned too, so callers that keep
+/// integrating problems (the `sel_cov` pipeline) can reuse them instead of
+/// re-sketching on every solve.
 pub fn build_problem_graph_sketched(
     problems: &[&ErProblem],
     opts: &AnalysisOptions,
@@ -572,7 +536,7 @@ mod tests {
     fn identical_problems_are_maximally_similar() {
         let p = synthetic_problem(0, 0.8, 200);
         for test in DistributionTest::all() {
-            let s = problem_similarity(&p, &p, test, 1000, 1);
+            let s = problem_similarity_with(&p, &p, &AnalysisOptions::new(test, 1000, 1));
             match test {
                 // C2ST on identical data cannot separate: F1 ~ 0.5 → sim ~ 0.5
                 DistributionTest::C2st => assert!(s > 0.2, "{test:?}: {s}"),
@@ -587,8 +551,9 @@ mod tests {
         let near = synthetic_problem(1, 0.78, 300);
         let far = synthetic_problem(2, 0.45, 300);
         for test in DistributionTest::all() {
-            let s_near = problem_similarity(&a, &near, test, 1000, 1);
-            let s_far = problem_similarity(&a, &far, test, 1000, 1);
+            let opts = AnalysisOptions::new(test, 1000, 1);
+            let s_near = problem_similarity_with(&a, &near, &opts);
+            let s_far = problem_similarity_with(&a, &far, &opts);
             assert!(
                 s_near > s_far,
                 "{test:?}: near {s_near} <= far {s_far}"
@@ -601,7 +566,7 @@ mod tests {
         let a = synthetic_problem(0, 0.9, 150);
         let b = synthetic_problem(1, 0.3, 150);
         for test in DistributionTest::all() {
-            let s = problem_similarity(&a, &b, test, 500, 9);
+            let s = problem_similarity_with(&a, &b, &AnalysisOptions::new(test, 500, 9));
             assert!((0.0..=1.0).contains(&s), "{test:?}: {s}");
         }
     }
@@ -610,8 +575,9 @@ mod tests {
     fn subsampling_is_deterministic() {
         let a = synthetic_problem(0, 0.8, 5000);
         let b = synthetic_problem(1, 0.6, 5000);
-        let s1 = problem_similarity(&a, &b, DistributionTest::KolmogorovSmirnov, 100, 3);
-        let s2 = problem_similarity(&a, &b, DistributionTest::KolmogorovSmirnov, 100, 3);
+        let opts = AnalysisOptions::new(DistributionTest::KolmogorovSmirnov, 100, 3);
+        let s1 = problem_similarity_with(&a, &b, &opts);
+        let s2 = problem_similarity_with(&a, &b, &opts);
         assert_eq!(s1, s2);
     }
 
@@ -621,7 +587,12 @@ mod tests {
             .map(|i| synthetic_problem(i, if i < 3 { 0.85 } else { 0.40 }, 200))
             .collect();
         let refs: Vec<&ErProblem> = problems.iter().collect();
-        let g = build_problem_graph(&refs, DistributionTest::KolmogorovSmirnov, 0.5, 1000, 7);
+        let g = build_problem_graph_sketched(
+            &refs,
+            &AnalysisOptions::new(DistributionTest::KolmogorovSmirnov, 1000, 7),
+            0.5,
+        )
+        .0;
         assert_eq!(g.num_nodes(), 6);
         // within-group edges should exist and be strong
         assert!(g.edge_weight(0, 1).unwrap_or(0.0) > 0.8);
@@ -714,7 +685,8 @@ mod tests {
     #[test]
     fn feature_matrix_is_a_feature_sample() {
         let p = synthetic_problem(0, 0.8, 100);
-        let s = problem_similarity(&p, &p.features, DistributionTest::Wasserstein, 500, 2);
+        let opts = AnalysisOptions::new(DistributionTest::Wasserstein, 500, 2);
+        let s = problem_similarity_with(&p, &p.features, &opts);
         assert!(s > 0.97, "{s}");
     }
 
@@ -723,7 +695,8 @@ mod tests {
     fn mismatched_feature_spaces_panic() {
         let a = synthetic_problem(0, 0.8, 50);
         let m = FeatureMatrix::from_rows(&[vec![0.5]]);
-        let _ = problem_similarity(&a, &m, DistributionTest::KolmogorovSmirnov, 100, 1);
+        let opts = AnalysisOptions::new(DistributionTest::KolmogorovSmirnov, 100, 1);
+        let _ = problem_similarity_with(&a, &m, &opts);
     }
 
     #[test]

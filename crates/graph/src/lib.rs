@@ -8,7 +8,7 @@
 //! * [`components`]: union-find and connected components (the transitive
 //!   closure of a match graph);
 //! * [`mincut`]: Stoer-Wagner global minimum cut (Almser's false-positive
-//!   signal) and [`bridges`]: its O(V + E) single-edge special case;
+//!   signal);
 //! * [`betweenness`]: Brandes edge betweenness (for Girvan-Newman);
 //! * [`community`]: Leiden (the paper's clustering algorithm for the ER
 //!   problem graph, §4.3), Louvain, label propagation and Girvan-Newman, all
@@ -30,7 +30,6 @@
 //! ```
 
 pub mod betweenness;
-pub mod bridges;
 pub mod community;
 pub mod components;
 pub mod graph;
