@@ -253,11 +253,8 @@ impl ActiveLearner for AlmserAl {
                     (row, score)
                 })
                 .collect();
-            scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             let remaining = budget - spent(pool);
-            for &(row, _) in scored.iter().take(self.config.batch_size.max(1).min(remaining)) {
-                pool.query(row);
-            }
+            pool.query_top(&mut scored, self.config.batch_size.max(1).min(remaining));
             round += 1;
         }
         AlResult::from_pool(pool)

@@ -145,15 +145,12 @@ impl ActiveLearner for BootstrapAl {
                     (row, score)
                 })
                 .collect();
-            scored.sort_by(|a, b| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0)));
             let remaining = budget - spent(pool);
             let take = self.config.batch_size.max(1).min(remaining);
             // If the committee is certain about everything (all scores 0),
-            // the sort's tie-break takes the lowest unlabeled row indices,
-            // so the budget is still spent deterministically.
-            for &(row, _) in scored.iter().take(take) {
-                pool.query(row);
-            }
+            // the tie-break takes the lowest unlabeled row indices, so the
+            // budget is still spent deterministically.
+            pool.query_top(&mut scored, take);
             round += 1;
         }
         AlResult::from_pool(pool)

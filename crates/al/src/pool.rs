@@ -64,6 +64,26 @@ impl AlPool {
         self.truth[row]
     }
 
+    /// Query the `take` best-scored rows of `scored`: highest score first,
+    /// lower row id first among equal scores. Only the top `take` are
+    /// ordered (a selection, then a sort of that prefix); row ids are
+    /// unique, so the order is total and the queried rows are exactly the
+    /// first `take` of a full sort.
+    pub(crate) fn query_top(&mut self, scored: &mut [(usize, f64)], take: usize) {
+        let take = take.min(scored.len());
+        if take == 0 {
+            return;
+        }
+        let best_first =
+            |a: &(usize, f64), b: &(usize, f64)| b.1.total_cmp(&a.1).then_with(|| a.0.cmp(&b.0));
+        scored.select_nth_unstable_by(take - 1, best_first);
+        let top = &mut scored[..take];
+        top.sort_unstable_by(best_first);
+        for &(row, _) in top.iter() {
+            self.query(row);
+        }
+    }
+
     /// Labels spent so far.
     pub fn queries_used(&self) -> usize {
         self.queries

@@ -37,6 +37,8 @@ use morer_ml::model::ModelConfig;
 use morer_serve::{
     Connection, Endpoint, MetricsRegistry, MorerServer, ServeConfig, ServerHandle, StatsResponse,
 };
+use morer_stats::tests::ks_statistic_sorted;
+use morer_stats::{ColumnSketch, UnivariateTest};
 
 /// A probe's output: JSON keys with their already formatted values.
 type Keys = Vec<(&'static str, String)>;
@@ -128,13 +130,16 @@ fn exact_options(seed: u64) -> AnalysisOptions {
 }
 
 /// The distribution-analysis graph build over 40 problems (780 `sim_p`
-/// pairs): direct per-pair recomputation against the sketched build.
+/// pairs): direct per-pair recomputation against the sketched build, then
+/// the KS of those pairs' 6 column sketches through the bucket-pruned
+/// kernel against `ks_statistic_sorted`.
 fn analysis(seed: u64) -> Keys {
     let problems = analysis_workload(40, 2000, 6, seed);
     let refs: Vec<&ErProblem> = problems.iter().collect();
     let opts = exact_options(seed);
     let (direct, direct_s) = timed(|| build_problem_graph_direct(&refs, &opts, 0.0));
-    let ((sketched, _), sketched_s) = timed(|| build_problem_graph_sketched(&refs, &opts, 0.0));
+    let ((sketched, sketches), sketched_s) =
+        timed(|| build_problem_graph_sketched(&refs, &opts, 0.0));
     for i in 0..refs.len() {
         for j in (i + 1)..refs.len() {
             assert_eq!(
@@ -145,6 +150,24 @@ fn analysis(seed: u64) -> Keys {
         }
     }
 
+    // the sketch-vs-sketch KS of every pair and column, ROUNDS times: the
+    // bucket-pruned kernel against the full merge walk on the same columns
+    let columns: Vec<(&ColumnSketch, &ColumnSketch)> = (0..sketches.len())
+        .flat_map(|i| ((i + 1)..sketches.len()).map(move |j| (i, j)))
+        .flat_map(|(i, j)| sketches[i].columns().iter().zip(sketches[j].columns()))
+        .collect();
+    let ks_all = |ks: &dyn Fn(&ColumnSketch, &ColumnSketch) -> f64| {
+        let mut bits = Vec::new();
+        for _ in 0..ROUNDS {
+            bits = columns.iter().map(|&(a, b)| ks(a, b).to_bits()).collect::<Vec<u64>>();
+        }
+        bits
+    };
+    let (kernel, ks_s) = timed(|| ks_all(&|a, b| a.distance(b, UnivariateTest::KolmogorovSmirnov)));
+    let (reference, ks_reference_s) =
+        timed(|| ks_all(&|a, b| ks_statistic_sorted(a.sorted(), b.sorted())));
+    assert_eq!(kernel, reference, "bucket-pruned KS diverged from the merge walk");
+
     let pairs = refs.len() * (refs.len() - 1) / 2;
     vec![
         ("analysis_problems", refs.len().to_string()),
@@ -154,6 +177,9 @@ fn analysis(seed: u64) -> Keys {
         ("analysis_direct_pairs_per_s", fixed(pairs as f64 / direct_s, 0)),
         ("analysis_pairs_per_s", fixed(pairs as f64 / sketched_s, 0)),
         ("analysis_speedup", fixed(direct_s / sketched_s, 2)),
+        ("analysis_ks_s", fixed(ks_s, 4)),
+        ("analysis_ks_reference_s", fixed(ks_reference_s, 4)),
+        ("analysis_ks_speedup", fixed(ks_reference_s / ks_s, 2)),
     ]
 }
 

@@ -64,7 +64,8 @@
 //! monotone roundings), so the aggregate of upper bounds upper-bounds the
 //! aggregate of exact similarities. A [`BOUND_MARGIN`] of 1e-9 is added to
 //! absorb the places where the two paths round differently at the ulp level
-//! (grid values are `fl(count/n)` while the exact KS supremum is tracked in
+//! (grid values are `fl(count/n)` while the exact KS supremum, from the
+//! bucket-pruned kernel of [`ColumnSketch::distance`], is tracked in
 //! integers; the all-zero-weight fallback of `weighted_mean` is a Welford
 //! mean; pivot distances carry their own evaluation error). The margin only
 //! ever *loosens* pruning — exact scores are computed by the unchanged

@@ -18,9 +18,11 @@
 //! / [`cramer_von_mises_pregrid`] on precomputed CDF grids,
 //! [`psi_from_histograms`] on prebuilt histograms — and a slice-based public
 //! wrapper that does the preprocessing and delegates. [`crate::sketch`]
-//! precomputes the same artifacts once per sample and calls the same cores,
-//! so the sketched path is bit-identical to the slice path by construction
-//! (the PR 1 shared-cores discipline applied to distribution analysis).
+//! precomputes the same artifacts once per sample and calls the same cores
+//! for WD, CvM and PSI, so those sketched paths are bit-identical to the
+//! slice path by construction. Sketched KS prunes the merge walk with a
+//! bucket table and returns the same integer supremum as
+//! [`ks_statistic_sorted`], its oracle (property-tested bit for bit).
 
 use crate::ecdf::{sorted_finite, Ecdf};
 use crate::histogram::Histogram;
@@ -136,17 +138,37 @@ pub fn ks_statistic(a: &[f64], b: &[f64]) -> f64 {
 /// Once one sample is exhausted its CDF is 1 and the other's only climbs
 /// toward 1, so the loop-exit difference dominates the tail — no tail scan
 /// is needed.
+///
+/// This full walk is the oracle of the bucket-pruned kernel behind
+/// [`crate::sketch::ColumnSketch::distance`], which runs the same walk only
+/// over the bucket ranges its bounds cannot settle.
 pub fn ks_statistic_sorted(a: &[f64], b: &[f64]) -> f64 {
+    let sup = ks_merge_gap(a, b, (0, a.len()), (0, b.len()));
+    sup as f64 / (a.len() as f64 * b.len() as f64)
+}
+
+/// The tie-aware merge walk of [`ks_statistic_sorted`] over `a[i..ha]` and
+/// `b[j..hb]`, starting from the CDF counts `(i, j)`: the largest integer
+/// gap `|i·n_b − j·n_a|` (with `n_a = a.len()`, `n_b = b.len()`) after each
+/// distinct merged value, until one range is exhausted.
+///
+/// A range must not end inside a tie group, or the gap would be evaluated
+/// between two equal values.
+pub(crate) fn ks_merge_gap(
+    a: &[f64],
+    b: &[f64],
+    (mut i, ha): (usize, usize),
+    (mut j, hb): (usize, usize),
+) -> u64 {
     let (na, nb) = (a.len(), b.len());
-    let (mut i, mut j) = (0usize, 0usize);
     let mut sup: u64 = 0;
-    while i < na && j < nb {
+    while i < ha && j < hb {
         // next distinct value of the merged sample
         let x = if a[i] <= b[j] { a[i] } else { b[j] };
-        while i < na && a[i] <= x {
+        while i < ha && a[i] <= x {
             i += 1;
         }
-        while j < nb && b[j] <= x {
+        while j < hb && b[j] <= x {
             j += 1;
         }
         let d = ((i * nb) as i64 - (j * na) as i64).unsigned_abs();
@@ -154,7 +176,7 @@ pub fn ks_statistic_sorted(a: &[f64], b: &[f64]) -> f64 {
             sup = d;
         }
     }
-    sup as f64 / (na as f64 * nb as f64)
+    sup
 }
 
 /// Wasserstein distance per the paper's Eq. 2: both CDFs are evaluated on a

@@ -10,6 +10,69 @@ fn unit_samples() -> impl Strategy<Value = Vec<f64>> {
     proptest::collection::vec(0.0f64..=1.0, 1..150)
 }
 
+/// Unit-interval samples of 1 to ~5000 values, log-uniform in length so the
+/// KS bucket count (which grows with the length) takes every step from 16 to
+/// 1024, bent by a random power so two samples differ in shape.
+fn wide_samples() -> impl Strategy<Value = Vec<f64>> {
+    (proptest::collection::vec(0.0f64..=1.0, 1..5000), 0.0f64..=1.0, 0.2f64..=5.0).prop_map(
+        |(mut v, t, power)| {
+            v.truncate((v.len() as f64).powf(t).ceil() as usize);
+            v.iter_mut().for_each(|x| *x = x.powf(power));
+            v
+        },
+    )
+}
+
+/// Heavy ties: up to ~3000 values drawn from at most 8 levels, which include
+/// `0.0`, `-0.0`, `1.0` and bucket edges of every table size.
+fn tied_samples() -> impl Strategy<Value = Vec<f64>> {
+    (proptest::collection::vec(0usize..1000, 1..3000), 1usize..=8, (0.0f64..=1.0, 0u32..=10))
+        .prop_map(|(picks, levels, (free, shift))| {
+            let table = [0.0, -0.0, 1.0, 0.5, free, 1.0 / f64::from(1u32 << shift), 0.25, 0.75];
+            picks.iter().map(|&p| table[p % levels]).collect()
+        })
+}
+
+/// Values outside `[0, 1]`, huge finite magnitudes, and NaN, +∞ and −∞
+/// (every test drops these three).
+fn wild_samples() -> impl Strategy<Value = Vec<f64>> {
+    proptest::collection::vec((0u8..12, -1.5f64..=2.5, -1e300f64..=1e300), 1..2500).prop_map(
+        |values| {
+            values
+                .into_iter()
+                .map(|(kind, x, huge)| match kind {
+                    0 => f64::NAN,
+                    1 => f64::INFINITY,
+                    2 => f64::NEG_INFINITY,
+                    3 => f64::MAX,
+                    4 => -f64::MIN_POSITIVE,
+                    5 | 6 => huge,
+                    _ => x,
+                })
+                .collect()
+        },
+    )
+}
+
+/// One distinct value, repeated 1 to ~400 times.
+fn single_value_samples() -> impl Strategy<Value = Vec<f64>> {
+    (0.0f64..=1.0, 1usize..400, 0usize..4).prop_map(|(x, n, edge)| {
+        let x = [x, 0.0, 0.5, 1.0][edge];
+        vec![x; n]
+    })
+}
+
+/// Every sketched test against its slice-based counterpart, bit for bit
+/// (KS through the bucket-pruned kernel against the full merge walk).
+fn assert_sketch_matches_slices(a: &[f64], b: &[f64]) -> Result<(), String> {
+    let (sa, sb) = (ColumnSketch::new(a), ColumnSketch::new(b));
+    for t in UnivariateTest::all() {
+        prop_assert_eq!(sa.distance(&sb, t).to_bits(), t.distance(a, b).to_bits(), "{:?}", t);
+        prop_assert_eq!(sa.similarity(&sb, t).to_bits(), t.similarity(a, b).to_bits(), "{:?}", t);
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -85,6 +148,36 @@ proptest! {
             prop_assert_eq!(sa.distance(&sb, t), t.distance(&a, &b), "{:?}", t);
             prop_assert_eq!(sa.similarity(&sb, t), t.similarity(&a, &b), "{:?}", t);
         }
+    }
+
+    #[test]
+    fn sketched_tests_match_slice_tests_on_wide_samples(a in wide_samples(), b in wide_samples()) {
+        assert_sketch_matches_slices(&a, &b)?;
+    }
+
+    #[test]
+    fn sketched_tests_match_slice_tests_on_heavy_ties(
+        a in tied_samples(), b in tied_samples(), c in wide_samples()
+    ) {
+        assert_sketch_matches_slices(&a, &b)?;
+        assert_sketch_matches_slices(&a, &c)?;
+    }
+
+    #[test]
+    fn sketched_tests_match_slice_tests_on_wild_values(
+        a in wild_samples(), b in wild_samples(), c in tied_samples()
+    ) {
+        assert_sketch_matches_slices(&a, &b)?;
+        assert_sketch_matches_slices(&c, &a)?;
+    }
+
+    #[test]
+    fn sketched_tests_match_slice_tests_against_one_value(
+        a in single_value_samples(), b in wide_samples(), c in tied_samples()
+    ) {
+        assert_sketch_matches_slices(&a, &b)?;
+        assert_sketch_matches_slices(&c, &a)?;
+        assert_sketch_matches_slices(&a, &a)?;
     }
 
     #[test]
