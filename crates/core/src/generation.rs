@@ -5,9 +5,7 @@ use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
 use rand::SeedableRng;
 
-use crate::budget::BudgetAllocation;
 use crate::config::{AlMethod, TrainingMode};
-use crate::repository::ClusterEntry;
 use morer_al::{ActiveLearner, AlPool, AlmserAl, AlmserConfig, BootstrapAl, BootstrapConfig, RandomAl, UniquenessIndex};
 use morer_data::ErProblem;
 use morer_ml::model::{ModelConfig, TrainedModel};
@@ -16,15 +14,6 @@ use morer_ml::TrainingSet;
 /// Cap on stored representative vectors per cluster in supervised mode (AL
 /// mode stores exactly the selected vectors).
 const SUPERVISED_REPRESENTATIVE_CAP: usize = 2000;
-
-/// Outcome of model generation for all clusters.
-#[derive(Debug, Clone)]
-pub struct GenerationOutcome {
-    /// One entry per cluster, ids aligned with `allocation.clusters`.
-    pub entries: Vec<ClusterEntry>,
-    /// Oracle labels spent (0 in supervised mode).
-    pub labels_used: usize,
-}
 
 /// Build the uniqueness index of Eqs. 11-12 from cluster membership: a
 /// record "occurs in" cluster `c` when it appears in any pair of any of the
@@ -59,11 +48,11 @@ pub fn make_learner(
 }
 
 /// The per-cluster seed of generation-time training (one deterministic
-/// stream per cluster position). Shared by [`generate_models`] and the
+/// stream per cluster position). [`crate::pipeline::Morer::build`] and the
 /// dirty-tracked incremental regeneration in
-/// [`crate::pipeline::Morer::add_problems`], so a cluster retrained
-/// incrementally is bit-identical to the same cluster trained in a batch
-/// build.
+/// [`crate::pipeline::Morer::add_problems`] share one training loop over
+/// [`train_cluster`], so a cluster retrained incrementally is bit-identical
+/// to the same cluster trained in a batch build.
 pub fn cluster_seed(seed: u64, cid: usize) -> u64 {
     seed.wrapping_add(cid as u64 * 0x9E37_79B9)
 }
@@ -79,9 +68,11 @@ pub struct ClusterTraining {
     pub labels_used: usize,
 }
 
-/// Select training data and train the model for a single cluster — the
-/// per-cluster kernel of [`generate_models`], exposed so incremental ingest
-/// can regenerate exactly the dirty clusters and skip the clean ones.
+/// Select training data and train the model for a single cluster (paper
+/// step 3) — the per-cluster kernel of the training loop behind
+/// [`crate::pipeline::Morer::build`] and
+/// [`crate::pipeline::Morer::add_problems`], which regenerates exactly the
+/// dirty clusters and skips the clean ones.
 pub fn train_cluster(
     problems: &[&ErProblem],
     members: &[usize],
@@ -106,52 +97,6 @@ pub fn train_cluster(
     let model = TrainedModel::train(&with_seed(model_config, cluster_seed), &training);
     let representatives = cap_representatives(training, cluster_seed);
     ClusterTraining { model, representatives, labels_used: spent }
-}
-
-/// Train one model per cluster (paper step 3).
-///
-/// `problems` are positionally indexed; `allocation` holds cluster members
-/// and budgets from [`crate::budget::allocate`]. Entry ids are the cluster
-/// positions.
-pub fn generate_models(
-    problems: &[&ErProblem],
-    allocation: &BudgetAllocation,
-    training_mode: TrainingMode,
-    model_config: &ModelConfig,
-    use_uniqueness: bool,
-    seed: u64,
-) -> GenerationOutcome {
-    let uniqueness = if use_uniqueness {
-        Some(build_uniqueness_index(problems, &allocation.clusters))
-    } else {
-        None
-    };
-    let mut entries = Vec::with_capacity(allocation.clusters.len());
-    let mut labels_used = 0usize;
-
-    for (cid, members) in allocation.clusters.iter().enumerate() {
-        let budget = allocation.budgets.get(cid).copied().unwrap_or(0);
-        let trained = train_cluster(
-            problems,
-            members,
-            budget,
-            training_mode,
-            model_config,
-            uniqueness.as_ref(),
-            cluster_seed(seed, cid),
-        );
-        labels_used += trained.labels_used;
-        let mut entry = ClusterEntry::new(
-            cid,
-            members.clone(),
-            trained.model,
-            trained.representatives,
-            trained.labels_used,
-        );
-        entry.provenance.record(members.clone(), budget);
-        entries.push(entry);
-    }
-    GenerationOutcome { entries, labels_used }
 }
 
 /// All (or a fraction of) the cluster's labeled vectors — the supervised
@@ -198,6 +143,7 @@ fn with_seed(config: &ModelConfig, seed: u64) -> ModelConfig {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::budget::BudgetAllocation;
     use morer_graph::Graph;
     use morer_ml::dataset::FeatureMatrix;
     use morer_ml::model::Classifier;
@@ -237,42 +183,58 @@ mod tests {
         (problems, allocation)
     }
 
+    /// Train every cluster of `allocation` through [`train_cluster`] with
+    /// its [`cluster_seed`], as the pipeline's training loop does (no
+    /// uniqueness index).
+    fn train_all(
+        problems: &[ErProblem],
+        allocation: &BudgetAllocation,
+        training_mode: TrainingMode,
+        model_config: &ModelConfig,
+        seed: u64,
+    ) -> Vec<ClusterTraining> {
+        let refs: Vec<&ErProblem> = problems.iter().collect();
+        let clusters = allocation.clusters.iter().zip(&allocation.budgets).enumerate();
+        clusters
+            .map(|(cid, (members, &budget))| {
+                let seed = cluster_seed(seed, cid);
+                train_cluster(&refs, members, budget, training_mode, model_config, None, seed)
+            })
+            .collect()
+    }
+
     #[test]
     fn al_generation_spends_budget_and_trains_working_models() {
         let (problems, allocation) = fixture();
-        let refs: Vec<&ErProblem> = problems.iter().collect();
-        let out = generate_models(
-            &refs,
+        let out = train_all(
+            &problems,
             &allocation,
             TrainingMode::ActiveLearning(AlMethod::Bootstrap),
             &ModelConfig::default(),
-            false,
             7,
         );
-        assert_eq!(out.entries.len(), 2);
-        assert_eq!(out.labels_used, 200);
-        for e in &out.entries {
-            assert!(e.model.predict(&[0.9, 0.9]));
-            assert!(!e.model.predict(&[0.05, 0.05]));
-            assert_eq!(e.representatives.len(), e.labels_used);
+        assert_eq!(out.len(), 2);
+        assert_eq!(out.iter().map(|t| t.labels_used).sum::<usize>(), 200);
+        for t in &out {
+            assert!(t.model.predict(&[0.9, 0.9]));
+            assert!(!t.model.predict(&[0.05, 0.05]));
+            assert_eq!(t.representatives.len(), t.labels_used);
         }
     }
 
     #[test]
     fn supervised_generation_uses_fraction() {
         let (problems, allocation) = fixture();
-        let refs: Vec<&ErProblem> = problems.iter().collect();
-        let out = generate_models(
-            &refs,
+        let out = train_all(
+            &problems,
             &allocation,
             TrainingMode::Supervised { fraction: 0.5 },
             &ModelConfig::GaussianNb,
-            false,
             7,
         );
-        assert_eq!(out.labels_used, 0);
+        assert_eq!(out.iter().map(|t| t.labels_used).sum::<usize>(), 0);
         // 2 problems × 120 rows × 50% = 120 rows per cluster
-        assert_eq!(out.entries[0].representatives.len(), 120);
+        assert_eq!(out[0].representatives.len(), 120);
     }
 
     #[test]
@@ -300,19 +262,17 @@ mod tests {
     #[test]
     fn generation_is_deterministic() {
         let (problems, allocation) = fixture();
-        let refs: Vec<&ErProblem> = problems.iter().collect();
         let run = || {
-            generate_models(
-                &refs,
+            train_all(
+                &problems,
                 &allocation,
                 TrainingMode::ActiveLearning(AlMethod::Random),
                 &ModelConfig::GaussianNb,
-                false,
                 11,
             )
         };
         let a = run();
         let b = run();
-        assert_eq!(a.entries[0].representatives, b.entries[0].representatives);
+        assert_eq!(a[0].representatives, b[0].representatives);
     }
 }

@@ -14,7 +14,7 @@
 //! Each searchable entry's cached representative sketch is distilled into an
 //! `EntrySig`: per feature column a `ColumnSig` holding
 //!
-//! * the empty-sample gate flags (ECDF emptiness for KS/WD/CvM, binned total
+//! * the empty-sample gate flags (ECDF emptiness for KS/WD, binned total
 //!   for PSI) — when a gate fires, the *exact* per-column distance is the
 //!   gate constant, so the bound collapses to the exact value;
 //! * an exact copy of the column's Welford [`Moments`] — the pooled-stddev
@@ -32,23 +32,22 @@
 //! * **KS**: `max_k |G_q[k] − G_e[k]|` over the grid subset lower-bounds the
 //!   supremum over all x (every grid point is a candidate x);
 //! * **WD**: `Σ_{k∈S} |G_q[k] − G_e[k]| / CDF_GRID` lower-bounds the full
-//!   mean because every omitted term is non-negative (CvM analogously on
-//!   squared terms);
+//!   mean because every omitted term is non-negative;
 //! * **PSI**: each per-bin term `(max(x,ε) − max(y,ε))·ln(max(x,ε)/max(y,ε))`
 //!   is non-negative, so the partial sum over the bin subset lower-bounds the
 //!   full sum (identical per-term formula, identical ε = [`PSI_EPSILON`]).
 //!
 //! # Level 2 — pivot / triangle pruning
 //!
-//! Per-column KS (sup-norm of CDF differences) and WD/CvM (scaled L1/L2 on
-//! the shared grid) are genuine pseudometrics on sketch space, so for any
+//! Per-column KS (sup-norm of CDF differences) and WD (scaled L1 on the
+//! shared grid) are genuine pseudometrics on sketch space, so for any
 //! pivot sketch p: `d(q, e) ≥ |d(q, p) − d(p, e)|`. The index stores exact
 //! per-column distances from each entry to the first [`NUM_PIVOTS`]
 //! searchable entries (a deterministic pure function of the searchable set);
 //! a query computes its own exact pivot distances once and tightens every
 //! per-column lower bound with the triangle inequality. The empty-sample
 //! gate constants preserve the inequality (all gated distances are 0 or the
-//! one-sided constant 1, and every KS/WD/CvM distance is ≤ 1; the one-sided
+//! one-sided constant 1, and every KS/WD distance is ≤ 1; the one-sided
 //! cases are checked exhaustively in the tests below). PSI does **not**
 //! satisfy the triangle inequality and uses the partial-sum bound only.
 //!
@@ -152,7 +151,7 @@ pub const BOUND_MARGIN: f64 = 1e-9;
 /// One feature column's coarse signature (see the module docs).
 #[derive(Debug, Clone, PartialEq)]
 struct ColumnSig {
-    /// ECDF emptiness — drives the KS/WD/CvM empty-sample gate.
+    /// ECDF emptiness — drives the KS/WD empty-sample gate.
     ecdf_empty: bool,
     /// Binned-total emptiness — drives the PSI empty-sample gate.
     hist_empty: bool,
@@ -236,16 +235,6 @@ fn signature_distance_lb(q: &ColumnSketch, sig: &ColumnSig, uni: UnivariateTest)
                 .sum();
             sum / CDF_GRID as f64
         }
-        UnivariateTest::CramerVonMises => {
-            let sum: f64 = q
-                .grid()
-                .iter()
-                .step_by(SIG_STRIDE)
-                .zip(&sig.grid_sub)
-                .map(|(x, y)| (x - y) * (x - y))
-                .sum();
-            (sum / CDF_GRID as f64).sqrt()
-        }
         UnivariateTest::Psi => q
             .props()
             .iter()
@@ -323,7 +312,7 @@ impl PartialEq for SearchIndex {
     }
 }
 
-/// Whether the triangle-pruning layer applies to this family (KS/WD/CvM are
+/// Whether the triangle-pruning layer applies to this family (KS/WD are
 /// pseudometrics; PSI is not).
 fn is_metric(uni: UnivariateTest) -> bool {
     !matches!(uni, UnivariateTest::Psi)
@@ -870,11 +859,11 @@ mod tests {
 
     #[test]
     fn empty_gate_constants_preserve_the_triangle_inequality() {
-        // all KS/WD/CvM distances live in [0, 1] with gate constants
+        // all KS/WD distances live in [0, 1] with gate constants
         // {0, 1}; verify |d(q,p) − d(p,e)| ≤ d(q,e) over every emptiness
         // combination with at least one gate firing, for any non-gated
         // distance values in [0, 1] (the all-nonempty case is the genuine
-        // pseudometric property of sup/L1/L2 norms)
+        // pseudometric property of sup/L1 norms)
         let stand_ins = [0.0, 0.37, 1.0];
         for q in [false, true] {
             for p in [false, true] {

@@ -64,8 +64,7 @@ impl PromWriter {
     /// Emit one sample line. Integer-valued f64s print without a
     /// fractional part (`42`, not `42.0`).
     pub fn sample(&mut self, name: &str, labels: &[(&str, &str)], value: f64) {
-        self.buf.push_str(name);
-        self.write_labels(labels, &[]);
+        self.series(name, "", labels, &[]);
         if value.fract() == 0.0 && value.abs() < 9.0e15 {
             let _ = writeln!(self.buf, " {}", value as i64);
         } else {
@@ -82,17 +81,23 @@ impl PromWriter {
         for bound in LE_BOUNDS {
             le.clear();
             let _ = write!(le, "{bound}");
-            self.buf.push_str(name);
-            self.buf.push_str("_bucket");
-            self.write_labels(labels, &[("le", &le)]);
+            self.series(name, "_bucket", labels, &[("le", &le)]);
             let _ = writeln!(self.buf, " {}", snap.cumulative_below(bound));
         }
-        self.buf.push_str(name);
-        self.buf.push_str("_bucket");
-        self.write_labels(labels, &[("le", "+Inf")]);
+        self.series(name, "_bucket", labels, &[("le", "+Inf")]);
         let _ = writeln!(self.buf, " {}", snap.count);
-        let _ = writeln!(self.buf, "{name}_sum{} {}", Labels(labels), snap.sum);
-        let _ = writeln!(self.buf, "{name}_count{} {}", Labels(labels), snap.count);
+        self.series(name, "_sum", labels, &[]);
+        let _ = writeln!(self.buf, " {}", snap.sum);
+        self.series(name, "_count", labels, &[]);
+        let _ = writeln!(self.buf, " {}", snap.count);
+    }
+
+    /// Write a sample's series name (`name` + `suffix`) and label set; the
+    /// caller appends the value.
+    fn series(&mut self, name: &str, suffix: &str, labels: &[(&str, &str)], le: &[(&str, &str)]) {
+        self.buf.push_str(name);
+        self.buf.push_str(suffix);
+        self.write_labels(labels, le);
     }
 
     fn write_labels(&mut self, labels: &[(&str, &str)], extra: &[(&str, &str)]) {
@@ -117,29 +122,6 @@ impl PromWriter {
     /// The finished exposition document.
     pub fn finish(self) -> String {
         self.buf
-    }
-}
-
-/// Display adapter for a label set (used for `_sum`/`_count` lines).
-struct Labels<'a>(&'a [(&'a str, &'a str)]);
-
-impl std::fmt::Display for Labels<'_> {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        if self.0.is_empty() {
-            return Ok(());
-        }
-        f.write_str("{")?;
-        let mut first = true;
-        for (k, v) in self.0 {
-            if !first {
-                f.write_str(",")?;
-            }
-            first = false;
-            let mut escaped = String::new();
-            escape_label(v, &mut escaped);
-            write!(f, "{k}=\"{escaped}\"")?;
-        }
-        f.write_str("}")
     }
 }
 

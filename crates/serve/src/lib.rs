@@ -11,8 +11,8 @@
 //!
 //! One connection core serves every request: an `epoll` readiness loop
 //! over a raw `extern "C"` FFI shim (`std` already links libc; no crates
-//! needed), so the server runs on Linux only. One or more reactor threads
-//! own *every* connection as a non-blocking state machine:
+//! needed), so the server runs on Linux only. One reactor thread owns
+//! *every* connection as a non-blocking state machine:
 //! per-connection read buffers feed the resumable
 //! [`http::RequestParser`], responses flush with partial-write resume and
 //! backpressure, keep-alive pipelining carries surplus bytes to the next
@@ -21,12 +21,12 @@
 //! inline on the reactor thread; `POST` bodies (`/search`, `/solve`,
 //! `/solve_batch`, `/ingest`) dispatch to a compute pool sized to the
 //! machine. An idle connection costs a slab slot and a timer entry, so
-//! thousands of parked keep-alive clients (up to
-//! [`ServeConfig::max_connections`]) stall nothing. Every thread records
-//! into one [`metrics::MetricsRegistry`].
+//! thousands of parked keep-alive clients (up to a fixed cap of 8192 open
+//! connections) stall nothing. Every thread records into one
+//! [`metrics::MetricsRegistry`].
 //!
 //! ```text
-//! listener ──accept──▶ reactor thread(s): epoll { conn slab + timers }
+//! listener ──accept──▶ reactor thread: epoll { conn slab + timers }
 //!                        │ GET: dispatch inline       ▲ completions
 //!                        └─ POST ──▶ compute pool ────┘  (wake pipe)
 //!                                      │ /ingest

@@ -1,8 +1,8 @@
 //! Lock-free per-endpoint request metrics, stage timings and the flight
 //! recorder.
 //!
-//! The registry is the one observability hub of the server: every reactor,
-//! compute and writer thread records into it, and `GET /stats`,
+//! The registry is the one observability hub of the server: the reactor,
+//! compute and writer threads all record into it, and `GET /stats`,
 //! `GET /metrics` and `GET /debug/trace` read from it. Nothing on the
 //! request path locks or allocates:
 //!
@@ -123,6 +123,13 @@ pub fn stage_name(stage: u32) -> &'static str {
 /// cap are silently dropped — a bounded scratchpad, not a growable log.
 const MAX_TRACE_SPANS: usize = 8;
 
+/// Capacity of the recent-requests flight recorder (`GET /debug/trace`,
+/// `recent` ring), in spans: a few hundred traced requests.
+const RECENT_SPANS: usize = 512;
+
+/// Capacity of the slow-requests flight recorder (`slow` ring), in spans.
+const SLOW_SPANS: usize = 128;
+
 /// One request's span scratchpad: a fixed array filled by the handlers
 /// while the request runs, flushed into the flight recorder by
 /// [`MetricsRegistry::finish_trace`]. Allocation-free by construction.
@@ -188,7 +195,7 @@ struct Counters {
 }
 
 /// Internal-stage histograms: what the service is doing *between* request
-/// edges. All lock-free; recorded by the writer thread and the reactors.
+/// edges. All lock-free; recorded by the writer thread and the reactor.
 #[derive(Default)]
 pub(crate) struct StageMetrics {
     /// Per-job wait between `/ingest` enqueue and writer pickup, µs.
@@ -214,7 +221,7 @@ pub struct MetricsRegistry {
     counters: [Counters; Endpoint::ALL.len()],
     connections: ConnGauges,
     stages: StageMetrics,
-    /// Every finished request's spans, newest `trace_events` of them.
+    /// Every finished request's spans, newest [`RECENT_SPANS`] of them.
     recent: FlightRecorder,
     /// Spans of requests at/over `slow_threshold_micros` only — slow
     /// requests survive much longer here than in the busy `recent` ring.
@@ -226,9 +233,9 @@ pub struct MetricsRegistry {
 }
 
 impl Default for MetricsRegistry {
-    /// Test-friendly defaults: 100 ms slow threshold, 512-span ring.
+    /// Test-friendly default: 100 ms slow threshold.
     fn default() -> Self {
-        Self::new(100_000, 512)
+        Self::new(100_000)
     }
 }
 
@@ -252,16 +259,15 @@ struct ConnGauges {
 
 impl MetricsRegistry {
     /// A registry with the given slow-request threshold (µs; requests at
-    /// or over it are copied into the slow ring and logged) and flight
-    /// recorder capacity (spans kept in the `recent` ring; the slow ring
-    /// holds a quarter of that, floor 64).
-    pub fn new(slow_threshold_micros: u64, trace_events: usize) -> Self {
+    /// or over it are copied into the slow ring and logged). The flight
+    /// recorders keep the newest 512 spans and the newest 128 slow spans.
+    pub fn new(slow_threshold_micros: u64) -> Self {
         Self {
             counters: Default::default(),
             connections: ConnGauges::default(),
             stages: StageMetrics::default(),
-            recent: FlightRecorder::new(trace_events.max(1)),
-            slow: FlightRecorder::new((trace_events / 4).max(64)),
+            recent: FlightRecorder::new(RECENT_SPANS),
+            slow: FlightRecorder::new(SLOW_SPANS),
             slow_threshold_micros,
             trace_ids: TraceIds::new(),
             base: Instant::now(),
@@ -353,8 +359,8 @@ impl MetricsRegistry {
     /// returns the open count after this connection, or `None` when the
     /// cap is reached — the accept is then counted as `rejected` and the
     /// `open`/`peak` gauges are untouched (no transient inflation, unlike
-    /// the old open-then-undo scheme). The CAS loop makes the
-    /// check-and-increment atomic across reactors sharing one listener.
+    /// the old open-then-undo scheme). The CAS loop keeps the
+    /// check-and-increment atomic for concurrent callers.
     pub fn try_conn_opened(&self, cap: u64) -> Option<u64> {
         let c = &self.connections;
         c.accepted.fetch_add(1, Ordering::Relaxed);
@@ -489,7 +495,7 @@ pub struct ConnectionStats {
     /// Connections accepted from the listener (including ones rejected
     /// over the cap before being served).
     pub accepted: u64,
-    /// Connections refused because `max_connections` was reached.
+    /// Connections refused because the open-connection cap was reached.
     pub rejected: u64,
     /// Connections disconnected at their idle/receive deadline.
     pub idle_reaped: u64,
@@ -599,7 +605,7 @@ mod tests {
     #[test]
     fn traces_flow_into_the_flight_recorder() {
         // threshold 0: every request also lands in the slow ring
-        let m = MetricsRegistry::new(0, 64);
+        let m = MetricsRegistry::new(0);
         let started = Instant::now();
         let mut trace = m.begin_trace();
         assert_ne!(trace.id(), 0);
@@ -614,7 +620,7 @@ mod tests {
         assert!(recent.iter().any(|s| s.stage == STAGE_DECODE));
         assert_eq!(m.slow_spans().len(), 2);
         // a fast request under a high threshold stays out of the slow ring
-        let m = MetricsRegistry::new(u64::MAX, 64);
+        let m = MetricsRegistry::new(u64::MAX);
         let mut trace = m.begin_trace();
         m.finish_trace(&mut trace, Endpoint::Healthz, 200, Instant::now());
         assert_eq!(m.recent_spans().len(), 1);
@@ -623,7 +629,7 @@ mod tests {
 
     #[test]
     fn trace_span_capacity_is_bounded() {
-        let m = MetricsRegistry::new(u64::MAX, 64);
+        let m = MetricsRegistry::new(u64::MAX);
         let started = Instant::now();
         let mut trace = m.begin_trace();
         for _ in 0..100 {

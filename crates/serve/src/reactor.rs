@@ -1,10 +1,10 @@
 //! The readiness reactor: event-driven connection handling for thousands
-//! of concurrent keep-alive clients on a handful of threads.
+//! of concurrent keep-alive clients on one event-loop thread.
 //!
 //! ## Architecture
 //!
 //! ```text
-//!                    ┌──────────── reactor thread(s) ───────────┐
+//!                    ┌────────────── reactor thread ────────────┐
 //!  clients ══10k═══► │ epoll ─ slab of Conn state machines      │
 //!                    │   Idle ─► parse (RequestParser)          │
 //!                    │   GET: dispatch inline ──────────► Flush │
@@ -19,12 +19,12 @@
 //!                               single writer thread (unchanged)
 //! ```
 //!
-//! * **Reactor threads** own every connection: a non-blocking socket, a
-//!   read buffer feeding a resumable [`RequestParser`], a write buffer
+//! * **One reactor thread** owns every connection: a non-blocking socket,
+//!   a read buffer feeding a resumable [`RequestParser`], a write buffer
 //!   with partial-write resume, and an idle deadline in a timer queue.
 //!   Between events a connection costs one slab slot — no thread, no
-//!   stack — so the concurrency ceiling is
-//!   [`crate::ServeConfig::max_connections`], not a thread count.
+//!   stack — so the concurrency ceiling is [`MAX_CONNECTIONS`], not a
+//!   thread count.
 //! * **Cheap GETs inline**: `/healthz`, `/stats` and the `/wal` shipping
 //!   endpoints are answered on the reactor thread itself — two thread
 //!   hops would triple the ~12 µs protocol floor.
@@ -43,7 +43,7 @@
 //!   pending deadline; an all-idle server sleeps indefinitely.
 //! * **Shutdown** is graceful: a flag plus a doorbell wake; idle
 //!   connections close at once, busy/flushing ones finish their in-flight
-//!   request first, then reactors drop their job senders, the pool
+//!   request first, then the reactor drops its job sender, the pool
 //!   drains, and the writer exits last.
 //! * **Post-4xx drain**: after a protocol error the write half is shut and
 //!   the client's in-flight body is discarded for [`DRAIN_WINDOW`], so
@@ -58,7 +58,6 @@ use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{Receiver, Sender, SyncSender};
 use std::sync::{mpsc, Arc, Mutex};
-use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use crate::config::ServeConfig;
@@ -69,7 +68,7 @@ use crate::server::{
 };
 use crate::sys::{Epoll, EpollEvent, WakePipe, EPOLLERR, EPOLLHUP, EPOLLIN, EPOLLOUT, EPOLLRDHUP};
 
-/// Token of the shared listener in every reactor's epoll set.
+/// Token of the listener in the reactor's epoll set.
 const TOKEN_LISTENER: u64 = u64::MAX;
 /// Token of the reactor's doorbell pipe.
 const TOKEN_WAKE: u64 = u64::MAX - 1;
@@ -93,16 +92,32 @@ const WRITE_STALL: Duration = Duration::from_secs(10);
 /// client closes or this window ends.
 const DRAIN_WINDOW: Duration = Duration::from_millis(250);
 
+/// Cap on simultaneously open connections. Connections beyond it are
+/// accepted and immediately closed (counted in the `rejected` gauge) so
+/// the listener backlog never silently fills.
+const MAX_CONNECTIONS: u64 = 8192;
+
+/// Request heads (request line + headers) larger than this are `400`s.
+const MAX_HEADER_BYTES: usize = 8 << 10;
+
+/// Size of the compute pool that runs POST bodies (`/search`, `/solve`,
+/// `/solve_batch`, `/ingest` — the CPU-bound and writer-blocking work;
+/// cheap GETs are answered on the reactor thread): one thread per core,
+/// floor 2 so one in-flight `/ingest` waiting on the writer cannot
+/// serialize every solve.
+fn compute_threads() -> usize {
+    std::thread::available_parallelism().map_or(2, |p| p.get()).max(2)
+}
+
 /// One dispatched POST request in flight on the compute pool.
 struct Job {
     request: Request,
     slot: usize,
     gen: u32,
     keep_alive: bool,
-    bell: Arc<Doorbell>,
 }
 
-/// A finished job on its way back to the owning reactor.
+/// A finished job on its way back to the reactor.
 struct Completion {
     slot: usize,
     gen: u32,
@@ -110,7 +125,7 @@ struct Completion {
     close: bool,
 }
 
-/// A reactor's wake-up channel: compute workers (and shutdown) push here
+/// The reactor's wake-up channel: compute workers (and shutdown) push here
 /// and ring the pipe; the reactor drains both on its next loop turn.
 pub(crate) struct Doorbell {
     completions: Mutex<Vec<Completion>>,
@@ -257,7 +272,7 @@ fn split_token(token: u64) -> (usize, u32) {
     ((token & 0xFFFF_FFFF) as usize, (token >> 32) as u32)
 }
 
-/// Everything one reactor thread owns.
+/// Everything the reactor thread owns.
 struct Reactor {
     epoll: Epoll,
     listener: TcpListener,
@@ -269,110 +284,78 @@ struct Reactor {
     ingest_tx: SyncSender<IngestJob>,
     limits: http::Limits,
     idle_timeout: Duration,
-    max_connections: usize,
     /// Set once shutdown is observed: the listener is deregistered and
     /// the loop exits as soon as no connection is mid-request.
     winding_down: bool,
 }
 
-/// Spawn `config.reactors` event loops plus the compute pool. On any spawn
-/// failure everything already started is shut down and joined before the
-/// error returns — a partial server must not keep serving a port the
-/// caller believes never started.
-pub(crate) fn spawn_reactors(
+/// Spawn the event loop plus the compute pool. On any spawn failure
+/// everything already started is shut down and joined before the error
+/// returns — a partial server must not keep serving a port the caller
+/// believes never started.
+pub(crate) fn spawn_reactor(
     listener: &TcpListener,
     state: &Arc<ServerState>,
     ingest_tx: &SyncSender<IngestJob>,
     config: &ServeConfig,
 ) -> Result<ServeCore, std::io::Error> {
-    let reactors = config.reactors.max(1);
-    let compute = if config.compute_threads == 0 {
-        std::thread::available_parallelism().map_or(2, |p| p.get()).max(2)
-    } else {
-        config.compute_threads
-    };
+    let bell = Arc::new(Doorbell { completions: Mutex::new(Vec::new()), waker: WakePipe::new()? });
+    // the reactor holds the only job sender: when it exits, the pool's
+    // recv fails and each compute worker drops its ingest sender, ending
+    // the writer last
     let (job_tx, job_rx) = mpsc::channel::<Job>();
-    let job_rx = Arc::new(Mutex::new(job_rx));
-
-    let mut handles = ServeCore { threads: Vec::new(), bells: Vec::new() };
-    let abort = |state: &Arc<ServerState>, handles: ServeCore, err: std::io::Error| {
-        state.shutdown.store(true, Ordering::Release);
-        for bell in &handles.bells {
-            bell.ring();
-        }
-        for thread in handles.threads {
-            let _ = thread.join();
-        }
-        Err(err)
+    let mut reactor = Reactor {
+        epoll: Epoll::new()?,
+        listener: listener.try_clone()?,
+        bell: Arc::clone(&bell),
+        slab: Slab::with_capacity(1024),
+        timers: Timers::default(),
+        state: Arc::clone(state),
+        job_tx,
+        ingest_tx: ingest_tx.clone(),
+        limits: http::Limits {
+            max_header_bytes: MAX_HEADER_BYTES,
+            max_body_bytes: config.max_body_bytes,
+        },
+        idle_timeout: config.idle_timeout,
+        winding_down: false,
     };
-
-    for i in 0..reactors {
-        let built = (|| -> std::io::Result<(Arc<Doorbell>, JoinHandle<()>)> {
-            let listener = listener.try_clone()?;
-            let bell = Arc::new(Doorbell {
-                completions: Mutex::new(Vec::new()),
-                waker: WakePipe::new()?,
-            });
-            let mut reactor = Reactor {
-                epoll: Epoll::new()?,
-                listener,
-                bell: Arc::clone(&bell),
-                slab: Slab::with_capacity(1024),
-                timers: Timers::default(),
-                state: Arc::clone(state),
-                job_tx: job_tx.clone(),
-                ingest_tx: ingest_tx.clone(),
-                limits: http::Limits {
-                    max_header_bytes: config.max_header_bytes,
-                    max_body_bytes: config.max_body_bytes,
-                },
-                idle_timeout: config.idle_timeout,
-                max_connections: config.max_connections.max(1),
-                winding_down: false,
-            };
-            reactor.epoll.add(reactor.listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
-            reactor.epoll.add(reactor.bell.waker.reader_fd(), EPOLLIN, TOKEN_WAKE)?;
-            let thread = std::thread::Builder::new()
-                .name(format!("morer-serve-reactor-{i}"))
-                .spawn(move || reactor.run())?;
-            Ok((bell, thread))
-        })();
-        match built {
-            Ok((bell, thread)) => {
-                handles.bells.push(bell);
-                handles.threads.push(thread);
-            }
-            Err(e) => return abort(state, handles, e),
-        }
-    }
-    // the job senders live in the reactors (plus the prototype dropped
-    // below): when every reactor exits, the pool's recv fails and each
-    // compute worker drops its ingest sender, ending the writer last
-    drop(job_tx);
-    for i in 0..compute {
+    reactor.epoll.add(reactor.listener.as_raw_fd(), EPOLLIN, TOKEN_LISTENER)?;
+    reactor.epoll.add(reactor.bell.waker.reader_fd(), EPOLLIN, TOKEN_WAKE)?;
+    let thread = std::thread::Builder::new()
+        .name("morer-serve-reactor".into())
+        .spawn(move || reactor.run())?;
+    let mut core = ServeCore { threads: vec![thread], bell };
+    let job_rx = Arc::new(Mutex::new(job_rx));
+    for i in 0..compute_threads() {
         let spawned = {
             let job_rx = Arc::clone(&job_rx);
             let state = Arc::clone(state);
             let ingest_tx = ingest_tx.clone();
+            let bell = Arc::clone(&core.bell);
             std::thread::Builder::new()
                 .name(format!("morer-serve-compute-{i}"))
-                .spawn(move || compute_loop(&job_rx, &state, &ingest_tx))
+                .spawn(move || compute_loop(&job_rx, &state, &ingest_tx, &bell))
         };
         match spawned {
-            Ok(thread) => handles.threads.push(thread),
-            Err(e) => return abort(state, handles, e),
+            Ok(thread) => core.threads.push(thread),
+            Err(e) => {
+                core.stop(state);
+                return Err(e);
+            }
         }
     }
-    Ok(handles)
+    Ok(core)
 }
 
 /// One compute-pool thread: pull a job, dispatch it (a handler panic
 /// answers 500 and closes that connection; the thread lives on), encode
-/// the response, ring the owning reactor's doorbell.
+/// the response, ring the reactor's doorbell.
 fn compute_loop(
     job_rx: &Arc<Mutex<Receiver<Job>>>,
     state: &Arc<ServerState>,
     ingest_tx: &SyncSender<IngestJob>,
+    bell: &Doorbell,
 ) {
     loop {
         // holding the lock across recv serializes job *pickup*, not job
@@ -401,7 +384,7 @@ fn compute_loop(
             &reply.body,
             keep_alive,
         );
-        job.bell.complete(Completion {
+        bell.complete(Completion {
             slot: job.slot,
             gen: job.gen,
             bytes,
@@ -479,12 +462,12 @@ impl Reactor {
         loop {
             let stream = match self.listener.accept() {
                 Ok((stream, _)) => stream,
-                // WouldBlock: drained (or another reactor won the race);
-                // other errors (EMFILE, aborted handshake) back off to the
-                // next readiness report rather than spinning
+                // WouldBlock: drained; other errors (EMFILE, aborted
+                // handshake) back off to the next readiness report rather
+                // than spinning
                 Err(_) => return,
             };
-            if self.state.metrics.try_conn_opened(self.max_connections as u64).is_none() {
+            if self.state.metrics.try_conn_opened(MAX_CONNECTIONS).is_none() {
                 continue; // accepted-and-dropped: backlog never silently fills
             }
             if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
@@ -772,13 +755,7 @@ impl Reactor {
                     conn.lifecycle = Lifecycle::Busy;
                     conn.deadline = None; // processing time is unbounded here
                 }
-                let job = Job {
-                    request,
-                    slot,
-                    gen,
-                    keep_alive,
-                    bell: Arc::clone(&self.bell),
-                };
+                let job = Job { request, slot, gen, keep_alive };
                 if self.job_tx.send(job).is_err() {
                     // pool gone (shutdown race): answer like a dead writer
                     self.state.metrics.record(Endpoint::Other, Duration::ZERO, 500);

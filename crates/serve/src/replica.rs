@@ -55,7 +55,17 @@ pub const HDR_LOG_LEN: &str = "x-morer-log-len";
 /// Header carrying the leader's durable epoch on `/wal` responses.
 pub const HDR_EPOCH: &str = "x-morer-epoch";
 
-/// Tuning of a [`Replica`].
+/// Per-response receive deadline on leader requests: a leader that accepts
+/// connections but never answers counts as disconnected after this long.
+const IO_TIMEOUT: Duration = Duration::from_secs(2);
+
+/// Seed of the deterministic backoff jitter (each delay is scaled by a
+/// factor in `[0.5, 1.0]` so a fleet of followers does not reconnect in
+/// lockstep).
+const JITTER_SEED: u64 = 0x9E37_79B9_7F4A_7C15;
+
+/// Tuning of a [`Replica`]. Leader requests time out after 2 s, and each
+/// `/wal` poll ships at most the leader's 1 MiB segment cap.
 #[derive(Debug, Clone)]
 pub struct ReplicaConfig {
     /// The leader's address (`host:port` of a `morer-serve` instance with
@@ -68,23 +78,11 @@ pub struct ReplicaConfig {
     pub morer: MorerConfig,
     /// How long to sleep between polls while caught up.
     pub poll_interval: Duration,
-    /// Per-response receive deadline on leader requests: a leader that
-    /// accepts connections but never answers counts as disconnected after
-    /// this long.
-    pub io_timeout: Duration,
-    /// Upper bound on the frame bytes requested per `/wal` poll (a single
-    /// oversized frame still ships whole — the leader guarantees
-    /// progress).
-    pub max_batch_bytes: usize,
     /// First reconnect delay after a leader failure; doubles per
     /// consecutive failure.
     pub backoff_base: Duration,
     /// Reconnect delay cap.
     pub backoff_cap: Duration,
-    /// Seed of the deterministic backoff jitter (each delay is scaled by a
-    /// factor in `[0.5, 1.0]` so a fleet of followers does not reconnect
-    /// in lockstep).
-    pub jitter_seed: u64,
 }
 
 impl Default for ReplicaConfig {
@@ -93,11 +91,8 @@ impl Default for ReplicaConfig {
             leader: "127.0.0.1:0".to_owned(),
             morer: MorerConfig::default(),
             poll_interval: Duration::from_millis(25),
-            io_timeout: Duration::from_secs(2),
-            max_batch_bytes: 1 << 20,
             backoff_base: Duration::from_millis(50),
             backoff_cap: Duration::from_secs(2),
-            jitter_seed: 0x9E37_79B9_7F4A_7C15,
         }
     }
 }
@@ -307,11 +302,11 @@ fn tail_loop(core: &ReplicaCore, config: &ReplicaConfig) {
     let mut state: Option<FollowerState> = None;
     let mut conn: Option<Connection> = None;
     let mut failures: u32 = 0;
-    let mut rng = config.jitter_seed | 1;
+    let mut rng = JITTER_SEED | 1;
     while !core.shutdown.load(Ordering::Acquire) {
         let leader = core.leader.lock().expect("replica leader poisoned").clone();
         if conn.is_none() {
-            match Connection::open_timeout(&leader, config.io_timeout) {
+            match Connection::open_timeout(&leader, IO_TIMEOUT) {
                 Ok(c) => conn = Some(c),
                 Err(_) => {
                     note_disconnect(core, &mut failures);
@@ -394,12 +389,7 @@ fn poll_segment(
     conn: &mut Connection,
     state: &mut FollowerState,
 ) -> std::io::Result<Step> {
-    let path = format!(
-        "/wal?from={}&gen={}&max={}",
-        state.offset(),
-        state.generation(),
-        config.max_batch_bytes
-    );
+    let path = format!("/wal?from={}&gen={}", state.offset(), state.generation());
     let response = conn.get_raw(&path)?;
     touch_contact(core, &response);
     match response.status {
@@ -601,8 +591,8 @@ mod tests {
             }
         }
         // jitter scales into [0.5, 1.0] and is deterministic per seed
-        let mut a = config.jitter_seed | 1;
-        let mut b = config.jitter_seed | 1;
+        let mut a = JITTER_SEED | 1;
+        let mut b = JITTER_SEED | 1;
         for _ in 0..100 {
             for rng in [&mut a, &mut b] {
                 *rng ^= *rng << 13;

@@ -1,4 +1,4 @@
-//! The server: epoll reactors plus a compute pool over one shared
+//! The server: one epoll reactor plus a compute pool over the
 //! `TcpListener` (the read path, see the `reactor` module), a single writer
 //! thread owning the [`Morer`] pipeline (the write path), and a snapshot
 //! slot connecting the two.
@@ -40,9 +40,9 @@
 //!   them with [`MorerError::InvalidProblem`] as a second line), and
 //!   dispatch runs under `catch_unwind` as a last line of defense (a panic
 //!   answers 500 and closes the connection; the thread lives on).
-//! * Shutdown is cooperative: a flag plus a doorbell wakeup per reactor;
-//!   the ingest channel closes when the last reactor and compute thread
-//!   exit, which ends the writer.
+//! * Shutdown is cooperative: a flag plus a doorbell wakeup of the
+//!   reactor; the ingest channel closes when the reactor and the last
+//!   compute thread exit, which ends the writer.
 //! * Durability is opt-in ([`ServeConfig::wal_dir`]): the writer commits
 //!   through an attached write-ahead log, and because the log append and
 //!   its fsync (under [`morer_core::wal::Durability::Fsync`]) happen
@@ -90,6 +90,12 @@ use morer_obs::{PromWriter, Span};
 /// progress past the cap).
 const MAX_SEGMENT_BYTES: usize = 1 << 20;
 
+/// Capacity of the bounded ingest channel between the connection core and
+/// the writer thread. When the queue is full, further `/ingest` requests
+/// block in their compute thread (backpressure) until the writer drains
+/// it.
+const INGEST_QUEUE: usize = 32;
+
 /// How many commit rounds one group shares a sync across. Bounds reply
 /// latency for the first requester of a group: later arrivals queue for
 /// the next group instead of extending this one forever.
@@ -120,7 +126,7 @@ struct Published {
     searcher: Arc<ModelSearcher>,
 }
 
-/// State shared by every reactor and compute thread, the writer and the
+/// State shared by the reactor, every compute thread, the writer and the
 /// handle.
 pub(crate) struct ServerState {
     /// The epoch-pinned read snapshot (plus its epoch), swapped — never
@@ -228,7 +234,7 @@ impl MorerServer {
             }
         }
         let listener = TcpListener::bind(config.addr.as_str())?;
-        // reactors register the listener with epoll and accept until
+        // the reactor registers the listener with epoll and accepts until
         // WouldBlock; shutdown is a doorbell wakeup, never a self-connect
         listener.set_nonblocking(true)?;
         let addr = listener.local_addr()?;
@@ -236,7 +242,7 @@ impl MorerServer {
         snapshot.warm();
         let state = Arc::new(ServerState {
             published: Mutex::new(Published { epoch: morer.epoch(), searcher: snapshot }),
-            metrics: MetricsRegistry::new(config.slow_request_micros, config.trace_events),
+            metrics: MetricsRegistry::new(config.slow_request_micros),
             shutdown: AtomicBool::new(false),
             writer_alive: AtomicBool::new(true),
             durability: Mutex::new(morer.durability()),
@@ -247,7 +253,7 @@ impl MorerServer {
             wal_obs: morer.wal_obs(),
         });
 
-        let (ingest_tx, ingest_rx) = mpsc::sync_channel::<IngestJob>(config.ingest_queue.max(1));
+        let (ingest_tx, ingest_rx) = mpsc::sync_channel::<IngestJob>(INGEST_QUEUE);
         let writer = {
             let state = Arc::clone(&state);
             let group_commit = config.group_commit;
@@ -283,8 +289,9 @@ impl MorerServer {
     /// is unreachable, during which reads keep serving the last applied
     /// epoch (stale-but-consistent) instead of failing.
     ///
-    /// The durability knobs of `config` (`wal_dir`, `group_commit`, ...)
-    /// are ignored: a replica's persistence is the leader's log.
+    /// The write-path fields of `config` (`wal_dir`, `durability`,
+    /// `compact_every`, `group_commit`, `writer_retry`) are ignored: a
+    /// replica's persistence is the leader's log.
     ///
     /// # Errors
     /// [`MorerError::Io`] when the address cannot be bound or threads
@@ -298,7 +305,7 @@ impl MorerServer {
         let state = Arc::new(ServerState {
             // bypassed (published() reads the replica), but kept coherent
             published: Mutex::new(Published { epoch: replica.epoch(), searcher: replica.snapshot() }),
-            metrics: MetricsRegistry::new(config.slow_request_micros, config.trace_events),
+            metrics: MetricsRegistry::new(config.slow_request_micros),
             shutdown: AtomicBool::new(false),
             writer_alive: AtomicBool::new(true),
             durability: Mutex::new(None),
@@ -317,14 +324,30 @@ impl MorerServer {
 }
 
 /// The running connection core: the reactor and compute-pool threads plus
-/// the doorbells shutdown rings to pop reactors out of `epoll_wait`.
+/// the doorbell shutdown rings to pop the reactor out of `epoll_wait`.
 pub(crate) struct ServeCore {
     pub(crate) threads: Vec<JoinHandle<()>>,
     #[cfg(target_os = "linux")]
-    pub(crate) bells: Vec<Arc<crate::reactor::Doorbell>>,
+    pub(crate) bell: Arc<crate::reactor::Doorbell>,
 }
 
-/// Spawn the reactor threads and compute pool over the shared listener.
+impl ServeCore {
+    /// Raise the shutdown flag, ring the reactor so it sees the flag now
+    /// instead of at its next timer deadline, and join every thread: the
+    /// reactor finishes in-flight requests, then exits; the compute pool
+    /// drains behind it and its last thread drops the final ingest
+    /// sender, which ends the writer.
+    pub(crate) fn stop(&mut self, state: &ServerState) {
+        state.shutdown.store(true, Ordering::Release);
+        #[cfg(target_os = "linux")]
+        self.bell.ring();
+        for thread in self.threads.drain(..) {
+            let _ = thread.join();
+        }
+    }
+}
+
+/// Spawn the reactor thread and compute pool over the listener.
 fn spawn_backend(
     listener: &TcpListener,
     state: &Arc<ServerState>,
@@ -333,7 +356,7 @@ fn spawn_backend(
 ) -> Result<ServeCore, std::io::Error> {
     #[cfg(target_os = "linux")]
     {
-        crate::reactor::spawn_reactors(listener, state, ingest_tx, config)
+        crate::reactor::spawn_reactor(listener, state, ingest_tx, config)
     }
     #[cfg(not(target_os = "linux"))]
     {
@@ -380,27 +403,16 @@ impl ServerHandle {
         self.replica.as_ref()
     }
 
-    /// Gracefully stop the server: in-flight requests finish, every reactor,
-    /// compute thread and the writer thread are joined. Queued ingest jobs still commit
-    /// before the writer exits; a fronted replica stops tailing.
+    /// Gracefully stop the server: in-flight requests finish, the reactor,
+    /// every compute thread and the writer thread are joined. Queued ingest
+    /// jobs still commit before the writer exits; a fronted replica stops
+    /// tailing.
     pub fn shutdown(mut self) {
         self.stop();
     }
 
     fn stop(&mut self) {
-        self.state.shutdown.store(true, Ordering::Release);
-        // reactors sleep in epoll_wait: ring each doorbell so they see the
-        // flag now instead of at their next timer deadline
-        #[cfg(target_os = "linux")]
-        for bell in &self.core.bells {
-            bell.ring();
-        }
-        // reactors finish in-flight requests, then exit; the compute pool
-        // drains behind them and its last thread drops the final ingest
-        // sender, which ends the writer
-        for thread in self.core.threads.drain(..) {
-            let _ = thread.join();
-        }
+        self.core.stop(&self.state);
         if let Some(writer) = self.writer.take() {
             let _ = writer.join();
         }
@@ -861,7 +873,7 @@ fn render_metrics(state: &ServerState) -> String {
         (
             "morer_connections_rejected_total",
             "counter",
-            "Connections refused over the max_connections cap.",
+            "Connections refused over the open-connection cap.",
             c.rejected,
         ),
         (

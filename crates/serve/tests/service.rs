@@ -646,6 +646,33 @@ fn half_close_mid_body_is_a_400_and_the_server_keeps_serving() {
     handle.shutdown();
 }
 
+/// Request heads are capped at 8 KiB: a head just under the cap is
+/// served, one over it is a typed 400 that closes the connection, and the
+/// server keeps serving fresh connections afterwards.
+#[test]
+fn oversized_request_head_is_a_400_and_the_server_keeps_serving() {
+    let handle = MorerServer::start(built_morer(), &ServeConfig::default()).unwrap();
+    let head_with_padding = |pad: usize| {
+        format!("GET /healthz HTTP/1.1\r\nX-Pad: {}\r\n\r\n", "a".repeat(pad)).into_bytes()
+    };
+
+    let mut conn = connect(handle.addr());
+    let res = conn.send_raw(&head_with_padding(7 << 10)).unwrap();
+    assert_eq!(res.status, 200, "{}", res.body);
+
+    let mut conn = connect(handle.addr());
+    let res = conn.send_raw(&head_with_padding(9 << 10)).unwrap();
+    assert_eq!(res.status, 400, "{}", res.body);
+    assert!(!res.keep_alive);
+    let env: ErrorEnvelope = serde_json::from_str(&res.body).unwrap();
+    assert_eq!(env.error.kind, "bad_request");
+    assert_eq!(env.error.message, "request head exceeds 8192 bytes");
+
+    let mut conn = connect(handle.addr());
+    assert_eq!(conn.get("/healthz").unwrap().status, 200);
+    handle.shutdown();
+}
+
 /// A hostile body nesting arrays 400 000 levels deep must be a typed
 /// `parse` 400: a recursive decoder without a depth limit overflows the
 /// compute thread's stack, and a stack overflow aborts the whole server

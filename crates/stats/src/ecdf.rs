@@ -39,7 +39,9 @@ pub fn grid_sorted(sorted: &[f64], points: usize, lo: f64, hi: f64) -> Vec<f64> 
 /// normalization step shared by [`Ecdf::new`] and the sketch builders.
 pub fn sorted_finite(data: &[f64]) -> Vec<f64> {
     let mut sorted: Vec<f64> = data.iter().copied().filter(|x| x.is_finite()).collect();
-    sorted.sort_by(f64::total_cmp);
+    // equal keys under `total_cmp` have identical bits (NaN is filtered),
+    // so the unstable sort yields the same bytes without a merge buffer
+    sorted.sort_unstable_by(f64::total_cmp);
     sorted
 }
 

@@ -10,11 +10,11 @@
 //! two-sample test against another sketch is allocation-free:
 //!
 //! * KS: a bucket-pruned exact supremum (below);
-//! * WD / CvM: an O(grid) pass over the precomputed CDF grids;
+//! * WD: an O(grid) pass over the precomputed CDF grids;
 //! * PSI: an O(bins) pass over the precomputed histograms;
 //! * pooled stddev: an O(1) [`Moments::merge`].
 //!
-//! WD, CvM and PSI call the same cores as the slice-based public test
+//! WD and PSI call the same cores as the slice-based public test
 //! functions, so those sketch comparisons are bit-identical to the slice
 //! computation on the same data.
 //!
@@ -44,8 +44,8 @@ use crate::describe::Moments;
 use crate::ecdf::{sorted_finite, Ecdf};
 use crate::histogram::Histogram;
 use crate::tests::{
-    cramer_von_mises_pregrid, empty_gate, ks_merge_gap, psi_from_proportions,
-    wasserstein_on_grid_pregrid, UnivariateTest, CDF_GRID, PSI_BINS,
+    empty_gate, ks_merge_gap, psi_from_proportions, wasserstein_on_grid_pregrid,
+    UnivariateTest, CDF_GRID, PSI_BINS,
 };
 
 /// Fewest buckets in a KS offset table.
@@ -109,7 +109,7 @@ impl ColumnSketch {
 
     /// The ECDF evaluated on the shared [`CDF_GRID`]-point grid over
     /// `[0, 1]` — the exact vector [`ColumnSketch::distance`] consumes for
-    /// WD/CvM, exposed so index layers can derive distance *lower bounds*
+    /// WD, exposed so index layers can derive distance *lower bounds*
     /// from grid subsets (any `|grid_a[k] - grid_b[k]|` lower-bounds the KS
     /// sup, any partial L1 sum over the grid lower-bounds the full WD sum).
     pub fn grid(&self) -> &[f64] {
@@ -155,7 +155,6 @@ impl ColumnSketch {
                 ks_bucketed(self.sorted(), &self.offsets, other.sorted(), &other.offsets)
             }
             UnivariateTest::Wasserstein => wasserstein_on_grid_pregrid(&self.grid, &other.grid),
-            UnivariateTest::CramerVonMises => cramer_von_mises_pregrid(&self.grid, &other.grid),
             UnivariateTest::Psi => psi_from_proportions(&self.props, &other.props),
         }
     }

@@ -15,11 +15,11 @@
 //!
 //! Every test is factored into a core that operates on *pre-processed* data
 //! — [`ks_statistic_sorted`] on sorted samples, [`wasserstein_on_grid_pregrid`]
-//! / [`cramer_von_mises_pregrid`] on precomputed CDF grids,
-//! [`psi_from_histograms`] on prebuilt histograms — and a slice-based public
+//! on precomputed CDF grids, [`psi_from_histograms`] on prebuilt
+//! histograms — and a slice-based public
 //! wrapper that does the preprocessing and delegates. [`crate::sketch`]
 //! precomputes the same artifacts once per sample and calls the same cores
-//! for WD, CvM and PSI, so those sketched paths are bit-identical to the
+//! for WD and PSI, so those sketched paths are bit-identical to the
 //! slice path by construction. Sketched KS prunes the merge walk with a
 //! bucket table and returns the same integer supremum as
 //! [`ks_statistic_sorted`], its oracle (property-tested bit for bit).
@@ -37,8 +37,7 @@ pub const PSI_BINS: usize = 100;
 /// Smoothing floor applied to empty-bin proportions so `ln` stays finite.
 pub const PSI_EPSILON: f64 = 1e-4;
 
-/// The univariate two-sample distribution tests evaluated in the paper,
-/// plus Cramér-von Mises as an extension.
+/// The univariate two-sample distribution tests evaluated in the paper.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum UnivariateTest {
     /// Kolmogorov-Smirnov statistic (supremum CDF distance).
@@ -47,10 +46,6 @@ pub enum UnivariateTest {
     Wasserstein,
     /// Population Stability Index.
     Psi,
-    /// Cramér-von Mises (mean *squared* CDF distance) — between KS's
-    /// supremum and WD's mean in spike sensitivity; not in the paper's
-    /// sweep but provided for experimentation.
-    CramerVonMises,
 }
 
 impl UnivariateTest {
@@ -60,7 +55,6 @@ impl UnivariateTest {
             Self::KolmogorovSmirnov => "KS",
             Self::Wasserstein => "WD",
             Self::Psi => "PSI",
-            Self::CramerVonMises => "CvM",
         }
     }
 
@@ -70,7 +64,6 @@ impl UnivariateTest {
             Self::KolmogorovSmirnov => ks_statistic(a, b),
             Self::Wasserstein => wasserstein_distance(a, b),
             Self::Psi => psi(a, b, PSI_BINS),
-            Self::CramerVonMises => cramer_von_mises(a, b),
         }
     }
 
@@ -79,7 +72,7 @@ impl UnivariateTest {
     /// apply the identical transform.
     pub fn similarity_from_distance(self, d: f64) -> f64 {
         let s = match self {
-            Self::KolmogorovSmirnov | Self::Wasserstein | Self::CramerVonMises => 1.0 - d,
+            Self::KolmogorovSmirnov | Self::Wasserstein => 1.0 - d,
             Self::Psi => (-d).exp(),
         };
         s.clamp(0.0, 1.0)
@@ -92,13 +85,13 @@ impl UnivariateTest {
     }
 
     /// All tests, for sweeps.
-    pub fn all() -> [Self; 4] {
-        [Self::KolmogorovSmirnov, Self::Wasserstein, Self::Psi, Self::CramerVonMises]
+    pub fn all() -> [Self; 3] {
+        [Self::KolmogorovSmirnov, Self::Wasserstein, Self::Psi]
     }
 }
 
 /// Distance of a pair where at least one side is empty, or `None` when both
-/// sides have data. `unit_scale` tests (KS/WD/CvM) use 1.0 for
+/// sides have data. `unit_scale` tests (KS/WD) use 1.0 for
 /// empty-vs-non-empty; PSI uses +∞ (its callers map that to similarity 0).
 /// Shared by the slice-based wrappers here and [`crate::sketch`].
 #[inline]
@@ -207,28 +200,6 @@ pub fn wasserstein_on_grid_pregrid(ga: &[f64], gb: &[f64]) -> f64 {
     assert_eq!(ga.len(), gb.len(), "CDF grids must have equal length");
     let sum: f64 = ga.iter().zip(gb).map(|(x, y)| (x - y).abs()).sum();
     sum / ga.len() as f64
-}
-
-/// Cramér-von Mises distance: the mean *squared* absolute difference of the
-/// two CDFs on the shared grid, square-rooted so it lives on `[0, 1]` like
-/// KS and WD. Satisfies `WD <= CvM <= KS` pointwise on the grid.
-pub fn cramer_von_mises(a: &[f64], b: &[f64]) -> f64 {
-    let ea = Ecdf::new(a);
-    let eb = Ecdf::new(b);
-    if let Some(d) = empty_gate(ea.is_empty(), eb.is_empty(), 1.0) {
-        return d;
-    }
-    cramer_von_mises_pregrid(&ea.on_grid(CDF_GRID, 0.0, 1.0), &eb.on_grid(CDF_GRID, 0.0, 1.0))
-}
-
-/// [`cramer_von_mises`] core on two precomputed equal-length CDF grids.
-///
-/// # Panics
-/// Panics if the grids differ in length.
-pub fn cramer_von_mises_pregrid(ga: &[f64], gb: &[f64]) -> f64 {
-    assert_eq!(ga.len(), gb.len(), "CDF grids must have equal length");
-    let sum: f64 = ga.iter().zip(gb).map(|(x, y)| (x - y) * (x - y)).sum();
-    (sum / ga.len() as f64).sqrt()
 }
 
 /// Population Stability Index (paper Eq. 3):
@@ -401,23 +372,5 @@ mod unit_tests {
         assert_eq!(UnivariateTest::KolmogorovSmirnov.short_name(), "KS");
         assert_eq!(UnivariateTest::Wasserstein.short_name(), "WD");
         assert_eq!(UnivariateTest::Psi.short_name(), "PSI");
-        assert_eq!(UnivariateTest::CramerVonMises.short_name(), "CvM");
-    }
-
-    #[test]
-    fn cvm_sits_between_wd_and_ks() {
-        let a = uniform(500);
-        let mut b = a.clone();
-        for x in b.iter_mut().take(50) {
-            *x = 0.5; // local spike
-        }
-        let ks = ks_statistic(&a, &b);
-        let wd = wasserstein_distance(&a, &b);
-        let cvm = cramer_von_mises(&a, &b);
-        assert!(cvm <= ks + 1e-9, "cvm {cvm} > ks {ks}");
-        assert!(cvm + 1e-9 >= wd, "cvm {cvm} < wd {wd}");
-        assert!(cramer_von_mises(&a, &a) < 1e-12);
-        assert_eq!(cramer_von_mises(&[], &[]), 0.0);
-        assert_eq!(cramer_von_mises(&[], &[0.5]), 1.0);
     }
 }

@@ -3,6 +3,7 @@
 use proptest::prelude::*;
 
 use morer_stats::describe::{mean, median, pearson, quantile, stddev, Moments, Summary};
+use morer_stats::ecdf::sorted_finite;
 use morer_stats::tests::{ks_statistic, psi, wasserstein_distance};
 use morer_stats::{ColumnSketch, Ecdf, Histogram, UnivariateTest};
 
@@ -60,6 +61,16 @@ fn single_value_samples() -> impl Strategy<Value = Vec<f64>> {
         let x = [x, 0.0, 0.5, 1.0][edge];
         vec![x; n]
     })
+}
+
+/// `sorted_finite` (an unstable sort) against a stable sort of the finite
+/// values, bit for bit: keys equal under `total_cmp` have equal bits.
+fn assert_sorted_finite_is_stable(data: &[f64]) -> Result<(), String> {
+    let mut stable: Vec<f64> = data.iter().copied().filter(|x| x.is_finite()).collect();
+    stable.sort_by(f64::total_cmp);
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    prop_assert_eq!(bits(&sorted_finite(data)), bits(&stable));
+    Ok(())
 }
 
 /// Every sketched test against its slice-based counterpart, bit for bit
@@ -181,15 +192,20 @@ proptest! {
     }
 
     #[test]
+    fn sorted_finite_matches_a_stable_sort_on_ties_and_wild_values(
+        tied in tied_samples(),
+        wild in wild_samples(),
+    ) {
+        assert_sorted_finite_is_stable(&tied)?;
+        assert_sorted_finite_is_stable(&wild)?;
+    }
+
+    #[test]
     fn sketched_distances_are_symmetric(a in unit_samples(), b in unit_samples()) {
         let sa = ColumnSketch::new(&a);
         let sb = ColumnSketch::new(&b);
-        // KS / WD / CvM cores are exactly symmetric; PSI up to `ln` round-off
-        for t in [
-            UnivariateTest::KolmogorovSmirnov,
-            UnivariateTest::Wasserstein,
-            UnivariateTest::CramerVonMises,
-        ] {
+        // KS / WD cores are exactly symmetric; PSI up to `ln` round-off
+        for t in [UnivariateTest::KolmogorovSmirnov, UnivariateTest::Wasserstein] {
             prop_assert_eq!(sa.distance(&sb, t), sb.distance(&sa, t), "{:?}", t);
         }
         let (dab, dba) = (
