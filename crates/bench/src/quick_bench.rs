@@ -19,14 +19,14 @@ use std::time::{Duration, Instant};
 use morer_bench::workload::{
     analysis_workload, committee_pool, committee_training_set, committee_votes,
     committee_votes_reference, featurization_workload, fit_committee, fit_committee_reference,
-    repository_problems, repository_workload, search_workload,
+    repository_problems, repository_workload, search_workload, singleton_entries,
 };
 use morer_core::config::{MorerConfig, TrainingMode};
 use morer_core::distribution::{
     build_problem_graph_direct, build_problem_graph_sketched, problem_similarity_with,
     AnalysisOptions, DistributionTest,
 };
-use morer_core::pipeline::Morer;
+use morer_core::pipeline::{IngestReport, Morer};
 use morer_core::replication::{FollowerState, SegmentStatus};
 use morer_core::repository::ModelRepository;
 use morer_core::searcher::{ModelSearcher, SearchHit, SolveOutcome};
@@ -39,10 +39,13 @@ use morer_serve::{
 };
 use morer_stats::tests::ks_statistic_sorted;
 use morer_stats::{ColumnSketch, UnivariateTest};
+use serde::{Deserialize, Serialize};
 
 /// A probe's output: JSON keys with their already formatted values.
 type Keys = Vec<(&'static str, String)>;
 
+/// Encodes and decodes of each document per timed round of the codec probe.
+const CODEC_REPS: usize = 20;
 /// Passes over the query set in every timed search and serve loop.
 const ROUNDS: usize = 3;
 /// Threads of the multi-threaded search probe.
@@ -68,6 +71,7 @@ pub fn run(seed: u64) {
         reactor(seed),
         durability(seed),
         committee(seed),
+        codec(seed),
     ]
     .concat();
     let mut line = String::from("{\"bench\":\"featurization\"");
@@ -82,6 +86,23 @@ fn timed<T>(f: impl FnOnce() -> T) -> (T, f64) {
     let start = Instant::now();
     let out = f();
     (out, start.elapsed().as_secs_f64())
+}
+
+/// The fastest of [`ROUNDS`] timings of `reps` calls to `fast` and to
+/// `reference`, in seconds. The rounds alternate between the two, and the
+/// minimum is the steadiest figure for a short loop on a host whose speed
+/// drifts.
+fn best_of_alternating<A, B>(
+    reps: usize,
+    fast: impl Fn() -> A,
+    reference: impl Fn() -> B,
+) -> (f64, f64) {
+    let mut best = (f64::INFINITY, f64::INFINITY);
+    for _ in 0..ROUNDS {
+        best.0 = best.0.min(timed(|| (0..reps).for_each(|_| drop(black_box(fast())))).1);
+        best.1 = best.1.min(timed(|| (0..reps).for_each(|_| drop(black_box(reference())))).1);
+    }
+    best
 }
 
 /// `x` with `digits` decimals.
@@ -677,5 +698,62 @@ fn committee(seed: u64) -> Keys {
         ("committee_vote_s", fixed(vote_s, 4)),
         ("committee_vote_reference_s", fixed(vote_reference_s, 4)),
         ("committee_vote_speedup", fixed(vote_reference_s / vote_s, 2)),
+    ]
+}
+
+/// The JSON codec on the two documents an ingest round trip pays for: a
+/// 2000-row problem body (what `/solve` and `/ingest` decode) and a commit
+/// record holding one 2000-representative entry (what a commit encodes
+/// into the write-ahead log). The streaming codec against the `Value`-tree
+/// path, which must produce the same bytes and values; each side's time is
+/// the best of [`ROUNDS`] alternating rounds of [`CODEC_REPS`] calls.
+fn codec(seed: u64) -> Keys {
+    let problems = repository_problems(1, 2_000, 6, seed);
+    let record = CommitRecord {
+        epoch: 1,
+        num_entries: 1,
+        entries: singleton_entries(&problems),
+        report: Some(IngestReport::default()),
+    };
+    let problem = &problems[0];
+    let tree_json = |value: serde::Value| {
+        let mut out = String::new();
+        serde::json::write_value(&value, &mut out);
+        out
+    };
+
+    let encode = || {
+        let body = serde_json::to_string(problem).expect("encode problem");
+        (body, serde_json::to_string(&record).expect("encode record"))
+    };
+    let encode_reference = || (tree_json(problem.to_value()), tree_json(record.to_value()));
+    let docs = encode(); // warm-up
+    assert_eq!(docs, encode_reference(), "streaming encode diverged from the tree");
+    let (encode_s, encode_reference_s) = best_of_alternating(CODEC_REPS, encode, encode_reference);
+
+    let (body, payload) = &docs;
+    let decode = || {
+        let p: ErProblem = serde_json::from_str(body).expect("decode problem");
+        (p, serde_json::from_str::<CommitRecord>(payload).expect("decode record"))
+    };
+    let decode_reference = || {
+        let tree = |s: &str| serde_json::from_str_value(s).expect("parse");
+        let p = ErProblem::from_value(&tree(body)).expect("decode problem");
+        (p, CommitRecord::from_value(&tree(payload)).expect("decode record"))
+    };
+    let decoded = decode();
+    assert_eq!(decoded, decode_reference(), "streaming decode diverged from the tree");
+    assert_eq!((&decoded.0, &decoded.1), (problem, &record), "codec round trip lost data");
+    let (decode_s, decode_reference_s) = best_of_alternating(CODEC_REPS, decode, decode_reference);
+
+    vec![
+        ("codec_body_bytes", body.len().to_string()),
+        ("codec_record_bytes", payload.len().to_string()),
+        ("codec_decode_s", fixed(decode_s, 4)),
+        ("codec_decode_reference_s", fixed(decode_reference_s, 4)),
+        ("codec_decode_speedup", fixed(decode_reference_s / decode_s, 2)),
+        ("codec_encode_s", fixed(encode_s, 4)),
+        ("codec_encode_reference_s", fixed(encode_reference_s, 4)),
+        ("codec_encode_speedup", fixed(encode_reference_s / encode_s, 2)),
     ]
 }

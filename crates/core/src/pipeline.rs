@@ -47,7 +47,7 @@ use crate::generation::{
     build_uniqueness_index, cluster_seed, make_learner, supervised_training, train_cluster,
 };
 use crate::repository::{ClusterEntry, ModelRepository};
-use crate::wal::{CommitRecord, DurabilityState, Wal, WalObs, WalOptions};
+use crate::wal::{CommitRecordRef, DurabilityState, Wal, WalObs, WalOptions};
 use crate::searcher::ModelSearcher;
 pub use crate::searcher::SolveOutcome;
 use crate::selection::{classify, coverage, retrain_budget};
@@ -684,21 +684,21 @@ impl Morer {
             return Ok(());
         }
         let entries = self.searcher.entries();
-        let record = CommitRecord {
+        let record = CommitRecordRef {
             epoch: self.epoch,
             num_entries: entries.len(),
             entries: touched
                 .iter()
                 .filter(|&&i| i < entries.len())
-                .map(|&i| (*entries[i]).clone())
+                .map(|&i| &*entries[i])
                 .collect(),
-            report: report.as_deref().cloned(),
+            report: report.as_deref(),
         };
         let wal = self.wal.as_mut().expect("checked above");
         let appended = if self.group_commit {
-            wal.append_deferred(&record)
+            wal.append_deferred(record)
         } else {
-            wal.append(&record)
+            wal.append(record)
         };
         if let Err(e) = appended {
             self.wal_poisoned = Some(e.to_string());

@@ -55,11 +55,19 @@ impl Serialize for SketchCache {
     fn to_value(&self) -> serde::Value {
         serde::Value::Null
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str("null");
+    }
 }
 
+/// Whatever was stored is discarded: the streaming reader skips it (still
+/// checking its syntax and nesting depth) without building it.
 impl Deserialize for SketchCache {
     fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
         Ok(Self::default())
+    }
+    fn read_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        p.skip().map(|()| Self::default())
     }
 }
 
@@ -111,12 +119,26 @@ impl Serialize for Provenance {
     fn to_value(&self) -> serde::Value {
         serde::Value::Null
     }
+    fn write_json(&self, out: &mut String) {
+        out.push_str("null");
+    }
 }
 
 impl Deserialize for Provenance {
     fn from_value(_: &serde::Value) -> Result<Self, serde::Error> {
         Ok(Self::default())
     }
+    fn read_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        p.skip().map(|()| Self::default())
+    }
+}
+
+/// The versioned repository document, borrowing the entries
+/// ([`ModelRepository::versioned`]).
+#[derive(Serialize)]
+pub(crate) struct Versioned<'a> {
+    version: u64,
+    entries: &'a [ClusterEntry],
 }
 
 /// One repository entry: a cluster of ER problems and its model `M_C`.
@@ -239,15 +261,12 @@ impl ModelRepository {
         self.entries.iter().map(|e| e.labels_used).sum()
     }
 
-    /// The versioned value tree `save_json` renders:
+    /// The versioned document `save_json` renders:
     /// `{"version": 1, "entries": [...]}`. Shared with the WAL base-snapshot
     /// writer ([`crate::wal`]) so a compacted base embeds a `repository`
     /// sub-document byte-identical to a `save_json` file.
-    pub(crate) fn versioned_value(&self) -> Value {
-        Value::Map(vec![
-            ("version".into(), Value::U64(REPOSITORY_FORMAT_VERSION)),
-            ("entries".into(), self.entries.to_value()),
-        ])
+    pub(crate) fn versioned(&self) -> Versioned<'_> {
+        Versioned { version: REPOSITORY_FORMAT_VERSION, entries: &self.entries }
     }
 
     /// Decode a repository from an already-parsed versioned value tree
@@ -287,15 +306,7 @@ impl ModelRepository {
     /// before any byte is written, so errors keep their I/O identity
     /// instead of being stringified by the serializer.)
     pub fn save_json<W: Write>(&self, writer: W) -> Result<(), MorerError> {
-        /// Borrowing envelope: builds the versioned value tree directly
-        /// from the entries, without an intermediate owned copy.
-        struct Envelope<'a>(&'a ModelRepository);
-        impl Serialize for Envelope<'_> {
-            fn to_value(&self) -> Value {
-                self.0.versioned_value()
-            }
-        }
-        let text = serde_json::to_string(&Envelope(self))
+        let text = serde_json::to_string(&self.versioned())
             .map_err(|e| MorerError::Parse(e.to_string()))?;
         let mut writer = BufWriter::new(writer);
         writer.write_all(text.as_bytes())?;

@@ -36,7 +36,11 @@
 //! where `payload` is the canonical JSON encoding of one [`CommitRecord`]
 //! (the vendored `serde_json` is deterministic: map keys in declaration
 //! order, floats in shortest round-trip form) and `hash` is the FNV-1a 64
-//! content hash of exactly the payload bytes ([`content_hash`]). A record
+//! content hash of exactly the payload bytes ([`content_hash`]). The
+//! writer streams a [`CommitRecordRef`] that borrows the live entries
+//! instead of cloning them; its bytes are exactly the owned record's
+//! `Value`-tree encoding, so the payload format is unchanged and logs
+//! written before the codec streamed replay as they always did. A record
 //! payload decodes to
 //!
 //! ```text
@@ -162,7 +166,7 @@ use serde::{Deserialize, Serialize, Value};
 use crate::error::{MorerError, WAL_FORMAT_VERSION};
 use crate::pipeline::IngestReport;
 use crate::replication::FollowerState;
-use crate::repository::{ClusterEntry, ModelRepository};
+use crate::repository::{ClusterEntry, ModelRepository, Versioned};
 
 /// File name of the base snapshot inside a WAL directory.
 pub const BASE_FILE: &str = "base.json";
@@ -248,6 +252,33 @@ pub struct CommitRecord {
     pub entries: Vec<ClusterEntry>,
     /// The ingest report the committing batch returned, when there was one.
     pub report: Option<IngestReport>,
+}
+
+/// A [`CommitRecord`] borrowing its entries and report: what the writer
+/// appends, so a commit encodes the live entries without deep-cloning
+/// them. Encodes to exactly the bytes of the owned record, which is what
+/// replay decodes.
+#[derive(Debug, Serialize)]
+pub struct CommitRecordRef<'a> {
+    /// [`CommitRecord::epoch`].
+    pub epoch: u64,
+    /// [`CommitRecord::num_entries`].
+    pub num_entries: usize,
+    /// [`CommitRecord::entries`].
+    pub entries: Vec<&'a ClusterEntry>,
+    /// [`CommitRecord::report`].
+    pub report: Option<&'a IngestReport>,
+}
+
+impl<'a> From<&'a CommitRecord> for CommitRecordRef<'a> {
+    fn from(record: &'a CommitRecord) -> Self {
+        Self {
+            epoch: record.epoch,
+            num_entries: record.num_entries,
+            entries: record.entries.iter().collect(),
+            report: record.report.as_ref(),
+        }
+    }
 }
 
 /// Observability snapshot of an attached log (`/healthz` and `/stats`
@@ -474,8 +505,11 @@ impl Wal {
     /// [`MorerError::Io`] when the write or sync fails — the log tail is
     /// then suspect and the owning pipeline poisons itself (a later
     /// [`Wal::open`] recovers to the last fully appended record).
-    pub fn append(&mut self, record: &CommitRecord) -> Result<(), MorerError> {
-        self.write_frame(record)?;
+    pub fn append<'r>(
+        &mut self,
+        record: impl Into<CommitRecordRef<'r>>,
+    ) -> Result<(), MorerError> {
+        self.write_frame(&record.into())?;
         if self.options.durability == Durability::Fsync {
             // covers this record and any still-pending deferred appends
             let started = Instant::now();
@@ -492,8 +526,11 @@ impl Wal {
     /// appends share one `fdatasync`). Callers must not acknowledge the
     /// commit to anyone before that sync returns. Under
     /// [`Durability::Buffered`] this is identical to `append`.
-    pub fn append_deferred(&mut self, record: &CommitRecord) -> Result<(), MorerError> {
-        self.write_frame(record)?;
+    pub fn append_deferred<'r>(
+        &mut self,
+        record: impl Into<CommitRecordRef<'r>>,
+    ) -> Result<(), MorerError> {
+        self.write_frame(&record.into())?;
         if self.options.durability == Durability::Fsync {
             self.pending_sync = true;
         }
@@ -522,7 +559,7 @@ impl Wal {
         self.pending_sync
     }
 
-    fn write_frame(&mut self, record: &CommitRecord) -> Result<(), MorerError> {
+    fn write_frame(&mut self, record: &CommitRecordRef<'_>) -> Result<(), MorerError> {
         let started = Instant::now();
         let payload =
             serde_json::to_string(record).map_err(|e| MorerError::Parse(e.to_string()))?;
@@ -730,23 +767,21 @@ fn write_base(
     epoch: u64,
     compactions: u64,
 ) -> Result<(), MorerError> {
+    #[derive(Serialize)]
     struct BaseEnvelope<'a> {
-        repository: &'a ModelRepository,
+        wal_version: u64,
         epoch: u64,
         compactions: u64,
+        repository: Versioned<'a>,
     }
-    impl Serialize for BaseEnvelope<'_> {
-        fn to_value(&self) -> Value {
-            Value::Map(vec![
-                ("wal_version".to_owned(), Value::U64(WAL_FORMAT_VERSION)),
-                ("epoch".to_owned(), Value::U64(self.epoch)),
-                ("compactions".to_owned(), Value::U64(self.compactions)),
-                ("repository".to_owned(), self.repository.versioned_value()),
-            ])
-        }
-    }
-    let text = serde_json::to_string(&BaseEnvelope { repository, epoch, compactions })
-        .map_err(|e| MorerError::Parse(e.to_string()))?;
+    let envelope = BaseEnvelope {
+        wal_version: WAL_FORMAT_VERSION,
+        epoch,
+        compactions,
+        repository: repository.versioned(),
+    };
+    let text =
+        serde_json::to_string(&envelope).map_err(|e| MorerError::Parse(e.to_string()))?;
     let tmp = dir.join(BASE_TMP);
     let publish = (|| -> Result<(), MorerError> {
         let mut file = File::create(&tmp)?;

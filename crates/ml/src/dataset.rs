@@ -13,15 +13,32 @@ pub struct FeatureMatrix {
     cols: usize,
 }
 
-/// Hand-rolled (not derived) so untrusted input — persisted repositories,
+/// The fields of a [`FeatureMatrix`] as decoded, before the shape check.
+#[derive(Deserialize)]
+struct RawMatrix {
+    data: Vec<f64>,
+    rows: usize,
+    cols: usize,
+}
+
+/// Checked (not derived) so untrusted input — persisted repositories,
 /// service request bodies — cannot smuggle in a matrix whose buffer
 /// disagrees with its declared shape: every accessor slices on the
-/// `data.len() == rows * cols` invariant the constructors enforce.
+/// `data.len() == rows * cols` invariant the constructors enforce. Both
+/// paths decode through `RawMatrix`; the streaming one reads `data`
+/// straight into the flat buffer the matrix keeps.
 impl Deserialize for FeatureMatrix {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let data = Vec::<f64>::from_value(serde::map_get(v, "data")?)?;
-        let rows = usize::from_value(serde::map_get(v, "rows")?)?;
-        let cols = usize::from_value(serde::map_get(v, "cols")?)?;
+        Self::checked(RawMatrix::from_value(v)?)
+    }
+
+    fn read_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        Self::checked(RawMatrix::read_json(p)?)
+    }
+}
+
+impl FeatureMatrix {
+    fn checked(RawMatrix { data, rows, cols }: RawMatrix) -> Result<Self, serde::Error> {
         if rows.checked_mul(cols) != Some(data.len()) {
             return Err(serde::Error::msg(format!(
                 "feature matrix shape mismatch: {rows} rows x {cols} cols \
@@ -32,9 +49,7 @@ impl Deserialize for FeatureMatrix {
         }
         Ok(Self { data, rows, cols })
     }
-}
 
-impl FeatureMatrix {
     /// Create an empty matrix with `cols` columns.
     pub fn new(cols: usize) -> Self {
         Self { data: Vec::new(), rows: 0, cols }
@@ -124,13 +139,28 @@ pub struct TrainingSet {
     pub y: Vec<bool>,
 }
 
-/// Hand-rolled for the same reason as [`FeatureMatrix`]: a label vector
-/// that disagrees with the row count must fail at decode time, not panic
-/// in a training loop later.
+/// The fields of a [`TrainingSet`] as decoded, before the length check.
+#[derive(Deserialize)]
+struct RawSet {
+    x: FeatureMatrix,
+    y: Vec<bool>,
+}
+
+/// Checked for the same reason as [`FeatureMatrix`]: a label vector that
+/// disagrees with the row count must fail at decode time, not panic in a
+/// training loop later.
 impl Deserialize for TrainingSet {
     fn from_value(v: &serde::Value) -> Result<Self, serde::Error> {
-        let x = FeatureMatrix::from_value(serde::map_get(v, "x")?)?;
-        let y = Vec::<bool>::from_value(serde::map_get(v, "y")?)?;
+        Self::checked(RawSet::from_value(v)?)
+    }
+
+    fn read_json(p: &mut serde::json::Parser<'_>) -> Result<Self, serde::Error> {
+        Self::checked(RawSet::read_json(p)?)
+    }
+}
+
+impl TrainingSet {
+    fn checked(RawSet { x, y }: RawSet) -> Result<Self, serde::Error> {
         if x.rows() != y.len() {
             return Err(serde::Error::msg(format!(
                 "training set shape mismatch: {} feature rows vs {} labels",
@@ -140,9 +170,7 @@ impl Deserialize for TrainingSet {
         }
         Ok(Self { x, y })
     }
-}
 
-impl TrainingSet {
     /// Create an empty set with `cols` features.
     pub fn new(cols: usize) -> Self {
         Self { x: FeatureMatrix::new(cols), y: Vec::new() }

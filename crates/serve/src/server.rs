@@ -1184,20 +1184,35 @@ fn decode_problem(body: &[u8]) -> Result<ErProblem, MorerError> {
 }
 
 /// Decode a body that may be either one problem object or an array of
-/// problems (`/ingest` accepts both shapes), validating each.
+/// problems (`/ingest` accepts both shapes), validating each. The first
+/// non-whitespace byte picks the shape, then the body streams straight
+/// into problems.
+///
+/// A body that fails to decode is parsed again as a value tree, only to
+/// word the error as this endpoint always has: a syntax error anywhere
+/// wins, and type errors carry no `json error:` prefix.
 fn decode_problems(body: &[u8]) -> Result<Vec<ErProblem>, MorerError> {
-    let text = std::str::from_utf8(body)
-        .map_err(|_| MorerError::Parse("request body is not UTF-8".into()))?;
-    let value = serde_json::from_str_value(text).map_err(|e| MorerError::Parse(e.to_string()))?;
-    let problems = match &value {
-        serde::Value::Seq(_) => Vec::<ErProblem>::from_value(&value),
-        _ => ErProblem::from_value(&value).map(|p| vec![p]),
-    }
-    .map_err(|e| MorerError::Parse(e.to_string()))?;
+    let is_array = body.iter().find(|b| !b" \t\n\r".contains(b)) == Some(&b'[');
+    let decoded = if is_array { decode(body) } else { decode::<ErProblem>(body).map(|p| vec![p]) };
+    let problems = decoded.map_err(|streamed| tree_decode_error(body).unwrap_or(streamed))?;
     for problem in &problems {
         problem.validate().map_err(MorerError::InvalidProblem)?;
     }
     Ok(problems)
+}
+
+/// The error the value-tree decode of a problem body reports, if any.
+fn tree_decode_error(body: &[u8]) -> Option<MorerError> {
+    let value = match std::str::from_utf8(body).map(serde_json::from_str_value) {
+        Ok(Ok(value)) => value,
+        Ok(Err(e)) => return Some(MorerError::Parse(e.to_string())),
+        Err(_) => return None,
+    };
+    let decoded = match &value {
+        serde::Value::Seq(_) => Vec::<ErProblem>::from_value(&value).map(drop),
+        _ => ErProblem::from_value(&value).map(drop),
+    };
+    decoded.err().map(|e| MorerError::Parse(e.to_string()))
 }
 
 /// Reject queries whose feature width cannot be scored against this
@@ -1315,4 +1330,58 @@ fn writer_gone() -> Reply {
         )),
         Endpoint::Ingest,
     )
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// What `decode_problems` did before it dispatched on the first byte:
+    /// parse the whole tree, then decode one problem or an array.
+    fn decode_problems_via_tree(body: &[u8]) -> Result<Vec<ErProblem>, MorerError> {
+        let text = std::str::from_utf8(body)
+            .map_err(|_| MorerError::Parse("request body is not UTF-8".into()))?;
+        let value =
+            serde_json::from_str_value(text).map_err(|e| MorerError::Parse(e.to_string()))?;
+        let problems = match &value {
+            serde::Value::Seq(_) => Vec::<ErProblem>::from_value(&value),
+            _ => ErProblem::from_value(&value).map(|p| vec![p]),
+        }
+        .map_err(|e| MorerError::Parse(e.to_string()))?;
+        for problem in &problems {
+            problem.validate().map_err(MorerError::InvalidProblem)?;
+        }
+        Ok(problems)
+    }
+
+    #[test]
+    fn problem_bodies_decode_as_the_tree_path_did() {
+        let one = r#"{"id":1,"sources":[0,1],"pairs":[[0,1]],"features":{"data":[0.5,0.25],"rows":1,"cols":2},"labels":[true],"feature_names":["a","b"]}"#;
+        let short = one.replace("[true]", "[]");
+        let bodies = [
+            one.to_owned(),
+            format!("[{one},{one}]"),
+            format!(" \r\n\t[{one}] "),
+            format!("\n{one}"),
+            format!("[{one},]"),
+            format!("{one} x"),
+            short.clone(),
+            format!("[{short}]"),
+            "[]".to_owned(),
+            "{}".to_owned(),
+            "null".to_owned(),
+            "5".to_owned(),
+            "\"x\"".to_owned(),
+            "[1]".to_owned(),
+            String::new(),
+            "[".repeat(300),
+        ];
+        for body in &bodies {
+            let got = decode_problems(body.as_bytes()).map_err(|e| e.to_string());
+            let want = decode_problems_via_tree(body.as_bytes()).map_err(|e| e.to_string());
+            assert_eq!(got, want, "{body}");
+        }
+        let not_utf8 = decode_problems(b"[\xff]").unwrap_err().to_string();
+        assert_eq!(not_utf8, decode_problems_via_tree(b"[\xff]").unwrap_err().to_string());
+    }
 }

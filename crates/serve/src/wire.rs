@@ -162,6 +162,21 @@ mod tests {
     }
 
     #[test]
+    fn error_bodies_encode_like_the_tree() {
+        for err in [
+            MorerError::EmptyRepository,
+            MorerError::Parse("bad \"body\"\n".into()),
+            MorerError::UnsupportedVersion { found: u64::MAX },
+            MorerError::LogCorrupt { offset: 12, reason: "torn".into() },
+        ] {
+            let mut tree = String::new();
+            let envelope = Value::Map(vec![("error".to_owned(), err.to_value())]);
+            serde::json::write_value(&envelope, &mut tree);
+            assert_eq!(error_json(&err), tree);
+        }
+    }
+
+    #[test]
     fn error_bodies_round_trip_kind_and_message() {
         let json = error_json(&MorerError::EmptyRepository);
         let env: ErrorEnvelope = serde_json::from_str(&json).unwrap();
