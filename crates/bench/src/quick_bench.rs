@@ -24,7 +24,7 @@ use morer_bench::workload::{
 use morer_core::config::{MorerConfig, TrainingMode};
 use morer_core::distribution::{
     build_problem_graph_direct, build_problem_graph_sketched, problem_similarity_with,
-    AnalysisOptions, DistributionTest,
+    AnalysisOptions, DistributionSketch, DistributionTest,
 };
 use morer_core::pipeline::{IngestReport, Morer};
 use morer_core::replication::{FollowerState, SegmentStatus};
@@ -33,7 +33,8 @@ use morer_core::searcher::{ModelSearcher, SearchHit, SolveOutcome};
 use morer_core::selection::best_entry_for;
 use morer_core::wal::{CommitRecord, Durability, Wal, WalOptions, BASE_FILE, HEADER_LEN, LOG_FILE};
 use morer_data::{profile_dataset, ErProblem};
-use morer_ml::model::ModelConfig;
+use morer_ml::model::{Classifier, ModelConfig, TrainedModel};
+use morer_ml::{FeatureMatrix, TrainingSet};
 use morer_serve::{
     Connection, Endpoint, MetricsRegistry, MorerServer, ServeConfig, ServerHandle, StatsResponse,
 };
@@ -46,6 +47,8 @@ type Keys = Vec<(&'static str, String)>;
 
 /// Encodes and decodes of each document per timed round of the codec probe.
 const CODEC_REPS: usize = 20;
+/// Passes over the queries per timed round of the sketch and predict probes.
+const QUERY_REPS: usize = 10;
 /// Passes over the query set in every timed search and serve loop.
 const ROUNDS: usize = 3;
 /// Threads of the multi-threaded search probe.
@@ -63,6 +66,8 @@ pub fn run(seed: u64) {
     let keys = [
         featurization(seed),
         analysis(seed),
+        sketch(seed),
+        predict(seed),
         search(seed),
         search_index(seed),
         ingest(seed),
@@ -201,6 +206,92 @@ fn analysis(seed: u64) -> Keys {
         ("analysis_ks_s", fixed(ks_s, 4)),
         ("analysis_ks_reference_s", fixed(ks_reference_s, 4)),
         ("analysis_ks_speedup", fixed(ks_reference_s / ks_s, 2)),
+    ]
+}
+
+/// Eight queries shaped like the ingest workload's: 2000 pairs, 6 features.
+fn query_problems(seed: u64) -> Vec<ErProblem> {
+    analysis_workload(8, 2000, 6, seed ^ 0x50_1E)
+}
+
+/// Every field of a column sketch as bits: moments, sorted sample, CDF
+/// grid, PSI proportions and total, KS bucket table.
+fn sketch_bits(c: &ColumnSketch) -> Vec<u64> {
+    let m = c.moments();
+    let floats = [m.mean, m.m2]
+        .into_iter()
+        .chain(c.sorted().iter().chain(c.grid()).chain(c.props()).copied());
+    [m.count as u64, c.hist_total()]
+        .into_iter()
+        .chain(floats.map(f64::to_bits))
+        .chain(c.offsets().iter().map(|&o| u64::from(o)))
+        .collect()
+}
+
+/// The query sketch of [`query_problems`] under the served analysis
+/// options: `DistributionSketch::of`, whose columns go through the
+/// three-pass `ColumnSketch::new`, against the same columns sketched by the
+/// per-artifact `ColumnSketch::new_reference`.
+fn sketch(seed: u64) -> Keys {
+    let queries = query_problems(seed);
+    let opts = serve_config(seed).analysis_options();
+    let fast = || queries.iter().map(|q| DistributionSketch::of(q, &opts)).collect::<Vec<_>>();
+    let reference = || {
+        let columns = |q: &ErProblem| {
+            (0..q.features.cols())
+                .map(|f| ColumnSketch::new_reference(&q.feature_column(f)))
+                .collect::<Vec<_>>()
+        };
+        queries.iter().map(columns).collect::<Vec<_>>()
+    };
+    for (sketch, columns) in fast().iter().zip(reference()) {
+        assert_eq!(sketch.columns().len(), columns.len(), "query sketch lost a column");
+        for (a, b) in sketch.columns().iter().zip(&columns) {
+            assert_eq!(sketch_bits(a), sketch_bits(b), "query sketch diverged from the reference");
+        }
+    }
+    let (sketch_s, sketch_reference_s) = best_of_alternating(QUERY_REPS, fast, reference);
+    vec![
+        ("sketch_queries", queries.len().to_string()),
+        ("sketch_s", fixed(sketch_s, 4)),
+        ("sketch_reference_s", fixed(sketch_reference_s, 4)),
+        ("sketch_speedup", fixed(sketch_reference_s / sketch_s, 2)),
+    ]
+}
+
+/// `classify`'s batch prediction, `TrainedModel::predict_proba_rows`,
+/// against the per-row `Classifier::predict_proba`: the served Gaussian NB
+/// over the pairs of [`query_problems`], trained on another problem, and a
+/// default forest over eight 2000-row pools, trained on labels with 10%
+/// noise (like an AL-trained forest, its trees grow deep).
+fn predict(seed: u64) -> Keys {
+    let time = |config: ModelConfig, data: &TrainingSet, queries: &[FeatureMatrix]| {
+        let model = TrainedModel::train(&config, data);
+        let fast = || queries.iter().map(|q| model.predict_proba_rows(q)).collect();
+        let reference = || {
+            let rows = |q: &FeatureMatrix| q.iter_rows().map(|r| model.predict_proba(r)).collect();
+            queries.iter().map(rows).collect()
+        };
+        let bits = |p: Vec<Vec<f64>>| p.concat().into_iter().map(f64::to_bits).collect::<Vec<_>>();
+        let kind = model.kind();
+        assert_eq!(bits(fast()), bits(reference()), "{kind} batch predict diverged from per-row");
+        best_of_alternating::<Vec<Vec<f64>>, Vec<Vec<f64>>>(QUERY_REPS, fast, reference)
+    };
+    let queries: Vec<FeatureMatrix> =
+        query_problems(seed).into_iter().map(|q| q.features).collect();
+    let served = analysis_workload(1, 2000, 6, seed).remove(0).to_training_set();
+    let (gnb_s, gnb_reference_s) = time(ModelConfig::GaussianNb, &served, &queries);
+    let pools: Vec<FeatureMatrix> = (0..8).map(|i| committee_pool(2000, seed ^ i)).collect();
+    let noisy = committee_training_set(2000, seed);
+    let (forest_s, forest_reference_s) = time(ModelConfig::default(), &noisy, &pools);
+    vec![
+        ("predict_rows", queries.iter().map(FeatureMatrix::rows).sum::<usize>().to_string()),
+        ("predict_gnb_s", fixed(gnb_s, 4)),
+        ("predict_gnb_reference_s", fixed(gnb_reference_s, 4)),
+        ("predict_gnb_speedup", fixed(gnb_reference_s / gnb_s, 2)),
+        ("predict_forest_s", fixed(forest_s, 4)),
+        ("predict_forest_reference_s", fixed(forest_reference_s, 4)),
+        ("predict_forest_speedup", fixed(forest_reference_s / forest_s, 2)),
     ]
 }
 

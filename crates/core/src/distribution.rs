@@ -15,11 +15,11 @@
 //! extraction, subsampling, sorting, grid evaluation, histogram binning and
 //! moment accumulation are all properties of *one* side. A
 //! [`DistributionSketch`] precomputes them once per feature sample
-//! (O(t·n log n)); [`sketch_similarity`] then scores a pair from the two
-//! sketches without touching the raw matrices, through the *same*
-//! `morer_stats` cores as the direct path — so with `sample_cap >= rows`
-//! (no subsampling) the sketched `sim_p` is bit-identical to
-//! [`problem_similarity_with`].
+//! (O(t·n): three linear passes per column, see [`morer_stats::sketch`]);
+//! [`sketch_similarity`] then scores a pair from the two sketches without
+//! touching the raw matrices, through the *same* `morer_stats` cores as the
+//! direct path — so with `sample_cap >= rows` (no subsampling) the sketched
+//! `sim_p` is bit-identical to [`problem_similarity_with`].
 //!
 //! Subsample seeding differs between the paths by design: the direct path
 //! draws a fresh seeded subsample per pair *and side*, while a sketch is
@@ -204,7 +204,7 @@ pub fn problem_similarity_with<A: FeatureSample + ?Sized, B: FeatureSample + ?Si
 /// feature (subsample-capped, sorted, pre-gridded, pre-binned, with Welford
 /// moments) plus a capped row sample for the multivariate C2ST.
 ///
-/// Built once per feature sample in O(t·n log n) and reused across every
+/// Built once per feature sample in O(t·n) and reused across every
 /// pair comparison ([`build_problem_graph_sketched`]) and every solve
 /// (`ClusterEntry` caches the sketch of its representatives `P_C`).
 #[derive(Debug, Clone)]

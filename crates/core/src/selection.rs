@@ -8,7 +8,6 @@
 use crate::distribution::{sketch_similarity, AnalysisOptions, DistributionSketch};
 use crate::repository::ClusterEntry;
 use morer_data::ErProblem;
-use morer_ml::model::Classifier;
 
 /// Find the repository entry whose representatives `P_C` are most similar to
 /// the new problem (the `sel_base` strategy). Returns `(entry index,
@@ -47,15 +46,11 @@ pub fn best_entry_for<E: std::borrow::Borrow<ClusterEntry>>(
 }
 
 
-/// Classify every pair of `problem` with an entry's model.
+/// Classify every pair of `problem` with an entry's model, in one batch
+/// prediction ([`morer_ml::TrainedModel::predict_proba_rows`]).
 pub fn classify(entry: &ClusterEntry, problem: &ErProblem) -> (Vec<bool>, Vec<f64>) {
-    let mut predictions = Vec::with_capacity(problem.num_pairs());
-    let mut probabilities = Vec::with_capacity(problem.num_pairs());
-    for row in problem.features.iter_rows() {
-        let p = entry.model.predict_proba(row);
-        probabilities.push(p);
-        predictions.push(p >= 0.5);
-    }
+    let probabilities = entry.model.predict_proba_rows(&problem.features);
+    let predictions = probabilities.iter().map(|&p| p >= 0.5).collect();
     (predictions, probabilities)
 }
 

@@ -3,7 +3,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::dataset::TrainingSet;
+use crate::dataset::{FeatureMatrix, TrainingSet};
 use crate::forest::{RandomForest, RandomForestConfig};
 use crate::linear::{LogisticRegression, LogisticRegressionConfig};
 use crate::mlp::{Mlp, MlpConfig};
@@ -20,7 +20,7 @@ pub trait Classifier: Send + Sync {
     }
 
     /// Batch hard predictions.
-    fn predict_batch(&self, rows: &crate::dataset::FeatureMatrix) -> Vec<bool> {
+    fn predict_batch(&self, rows: &FeatureMatrix) -> Vec<bool> {
         rows.iter_rows().map(|r| self.predict(r)).collect()
     }
 }
@@ -138,6 +138,20 @@ impl TrainedModel {
             ModelConfig::GaussianNb => Self::Gnb(GaussianNb::fit(data)),
             ModelConfig::Mlp(c) => Self::Mlp(Mlp::fit(data, c)),
             ModelConfig::Threshold => Self::Threshold(ThresholdClassifier::calibrate(data)),
+        }
+    }
+
+    /// [`Classifier::predict_proba`] of every row of `x`, bit for bit.
+    /// Forests walk all rows through each tree in one batch
+    /// ([`RandomForest::predict_proba_rows`]) and Gaussian naive Bayes
+    /// takes its per-class constants once
+    /// ([`GaussianNb::predict_proba_rows`]); the other kinds predict row by
+    /// row.
+    pub fn predict_proba_rows(&self, x: &FeatureMatrix) -> Vec<f64> {
+        match self {
+            Self::Forest(m) => m.predict_proba_rows(x, &(0..x.rows()).collect::<Vec<_>>()),
+            Self::Gnb(m) => m.predict_proba_rows(x),
+            _ => x.iter_rows().map(|row| self.predict_proba(row)).collect(),
         }
     }
 

@@ -9,6 +9,8 @@ use morer_ml::dataset::{FeatureMatrix, TrainingSet};
 use morer_ml::forest::{RandomForest, RandomForestConfig};
 use morer_ml::linear::{LogisticRegression, LogisticRegressionConfig};
 use morer_ml::metrics::PairCounts;
+use morer_ml::mlp::MlpConfig;
+use morer_ml::model::{Classifier, ModelConfig, TrainedModel};
 use morer_ml::naive_bayes::GaussianNb;
 use morer_ml::sampling::{
     bootstrap_counts, bootstrap_indices, k_fold_indices, stratified_indices, train_test_split,
@@ -54,8 +56,55 @@ fn weighted_rows() -> impl Strategy<Value = Vec<(Vec<(usize, f64)>, bool, u32)>>
     )
 }
 
+/// `TrainedModel::predict_proba_rows` against `Classifier::predict_proba`
+/// on each row, bit for bit.
+fn assert_batch_predict_matches_rows(
+    model: &TrainedModel,
+    x: &FeatureMatrix,
+) -> Result<(), String> {
+    let batch = model.predict_proba_rows(x);
+    prop_assert_eq!(batch.len(), x.rows(), "{}", model.kind());
+    for (p, row) in batch.iter().zip(x.iter_rows()) {
+        prop_assert_eq!(p.to_bits(), model.predict_proba(row).to_bits(), "{}", model.kind());
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn batch_predict_equals_per_row_predict(
+        (x, y) in labeled_rows(),
+        queries in proptest::collection::vec(proptest::collection::vec((0usize..14, 0.0f64..1.0), 3..=3), 0..40),
+        seed in any::<u64>(),
+    ) {
+        let mut q = FeatureMatrix::new(3);
+        for cells in &queries {
+            q.push_row(&cells.iter().map(|&(c, v)| feature_value(c, v)).collect::<Vec<f64>>());
+        }
+        // a constant feature floors both classes' Gaussian variance; one
+        // label leaves a class without rows
+        let constant: Vec<Vec<f64>> = x.iter().map(|r| vec![0.5, r[1], r[2]]).collect();
+        let single = vec![true; y.len()];
+        let sets = [
+            TrainingSet::from_rows(&x, &y),
+            TrainingSet::from_rows(&constant, &y),
+            TrainingSet::from_rows(&x, &single),
+        ];
+        let configs = [
+            ModelConfig::RandomForest(RandomForestConfig { n_trees: 4, seed, ..Default::default() }),
+            ModelConfig::LogisticRegression(LogisticRegressionConfig { epochs: 20, ..Default::default() }),
+            ModelConfig::GaussianNb,
+            ModelConfig::Mlp(MlpConfig { epochs: 10, seed, ..Default::default() }),
+            ModelConfig::Threshold,
+        ];
+        for data in &sets {
+            for config in &configs {
+                assert_batch_predict_matches_rows(&TrainedModel::train(config, data), &q)?;
+            }
+        }
+    }
 
     #[test]
     fn all_classifiers_emit_valid_probabilities((x, y) in labeled_rows(), q in proptest::collection::vec(0.0f64..=1.0, 3..=3)) {

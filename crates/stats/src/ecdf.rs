@@ -27,16 +27,19 @@ pub fn eval_sorted(sorted: &[f64], x: f64) -> f64 {
 /// shared core behind [`Ecdf::on_grid`].
 pub fn grid_sorted(sorted: &[f64], points: usize, lo: f64, hi: f64) -> Vec<f64> {
     assert!(points >= 2, "grid needs at least two points");
-    (0..points)
-        .map(|i| {
-            let x = lo + (hi - lo) * i as f64 / (points - 1) as f64;
-            eval_sorted(sorted, x)
-        })
-        .collect()
+    (0..points).map(|i| eval_sorted(sorted, grid_point(i, points, lo, hi))).collect()
+}
+
+/// Position `i` of `points` equally spaced grid positions spanning
+/// `[lo, hi]` (inclusive). Non-decreasing in `i`.
+#[inline]
+pub(crate) fn grid_point(i: usize, points: usize, lo: f64, hi: f64) -> f64 {
+    lo + (hi - lo) * i as f64 / (points - 1) as f64
 }
 
 /// Sort `data` into ECDF order, dropping non-finite values — the
-/// normalization step shared by [`Ecdf::new`] and the sketch builders.
+/// normalization step of [`Ecdf::new`] and the oracle of the radix sort
+/// inside [`crate::ColumnSketch::new`], which must return the same bits.
 pub fn sorted_finite(data: &[f64]) -> Vec<f64> {
     let mut sorted: Vec<f64> = data.iter().copied().filter(|x| x.is_finite()).collect();
     // equal keys under `total_cmp` have identical bits (NaN is filtered),

@@ -26,15 +26,20 @@ impl Histogram {
         assert!(hi > lo, "invalid histogram range [{lo}, {hi}]");
         let mut counts = vec![0u64; bins];
         let mut total = 0u64;
-        let width = (hi - lo) / bins as f64;
+        let width = bin_width(bins, lo, hi);
         for &x in data {
             if !x.is_finite() {
                 continue;
             }
-            let idx = (((x - lo) / width) as isize).clamp(0, bins as isize - 1) as usize;
-            counts[idx] += 1;
+            counts[bin_index(x, bins, lo, width)] += 1;
             total += 1;
         }
+        Self { lo, hi, counts, total }
+    }
+
+    /// Wrap per-bin counts already taken with [`bin_index`] over `[lo, hi]`.
+    pub(crate) fn from_counts(counts: Vec<u64>, lo: f64, hi: f64) -> Self {
+        let total = counts.iter().sum();
         Self { lo, hi, counts, total }
     }
 
@@ -77,6 +82,20 @@ impl Histogram {
         let width = (self.hi - self.lo) / self.counts.len() as f64;
         self.lo + i as f64 * width
     }
+}
+
+/// Width of one of `bins` equal-width bins over `[lo, hi]`.
+#[inline]
+pub(crate) fn bin_width(bins: usize, lo: f64, hi: f64) -> f64 {
+    (hi - lo) / bins as f64
+}
+
+/// The bin of finite `x` among `bins` bins of `width` from `lo`, clamped
+/// into the first and last bin. Non-decreasing in `x`: the division by a
+/// positive width and the truncating cast are both monotone.
+#[inline]
+pub(crate) fn bin_index(x: f64, bins: usize, lo: f64, width: f64) -> usize {
+    (((x - lo) / width) as isize).clamp(0, bins as isize - 1) as usize
 }
 
 #[cfg(test)]

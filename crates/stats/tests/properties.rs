@@ -84,8 +84,52 @@ fn assert_sketch_matches_slices(a: &[f64], b: &[f64]) -> Result<(), String> {
     Ok(())
 }
 
+/// The three-pass `ColumnSketch::new` against the per-artifact
+/// `ColumnSketch::new_reference`, field by field, bit for bit.
+fn assert_sketch_matches_reference(data: &[f64]) -> Result<(), String> {
+    let (fast, reference) = (ColumnSketch::new(data), ColumnSketch::new_reference(data));
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+    let moments = |s: &ColumnSketch| {
+        let m = s.moments();
+        (m.count, m.mean.to_bits(), m.m2.to_bits())
+    };
+    prop_assert_eq!(moments(&fast), moments(&reference), "moments");
+    prop_assert_eq!(bits(fast.sorted()), bits(reference.sorted()), "sorted sample");
+    prop_assert_eq!(bits(fast.grid()), bits(reference.grid()), "CDF grid");
+    prop_assert_eq!(bits(fast.props()), bits(reference.props()), "PSI proportions");
+    prop_assert_eq!(fast.hist_total(), reference.hist_total(), "PSI total");
+    prop_assert_eq!(fast.offsets(), reference.offsets(), "KS bucket offsets");
+    Ok(())
+}
+
+#[test]
+fn sketch_matches_reference_on_empty_and_non_finite_columns() {
+    let columns = [
+        vec![],
+        vec![f64::NAN; 7],
+        vec![f64::INFINITY, f64::NAN, f64::NEG_INFINITY],
+        vec![-0.0, 0.0, -0.0, f64::NAN, 0.0],
+    ];
+    for column in &columns {
+        assert_sketch_matches_reference(column).unwrap();
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
+
+    #[test]
+    fn sketch_matches_reference_bitwise(
+        wide in wide_samples(),
+        tied in tied_samples(),
+        wild in wild_samples(),
+        single in single_value_samples(),
+    ) {
+        assert_sketch_matches_reference(&wide)?;
+        assert_sketch_matches_reference(&tied)?;
+        assert_sketch_matches_reference(&wild)?;
+        assert_sketch_matches_reference(&single)?;
+    }
 
     #[test]
     fn summary_mean_within_range(data in unit_samples()) {
