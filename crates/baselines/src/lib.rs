@@ -4,47 +4,28 @@
 //!   EDBT 2022): k-NN instance transfer from the solved problems with class
 //!   confidence `t_c`, structural similarity `t_l` and pseudo-label
 //!   confidence `t_p`, then a target-side classifier;
-//! * [`ditto::DittoSim`] — supervised pair classifier over record
-//!   embeddings (MLP head), standing in for fine-tuned DistilBERT Ditto;
-//! * [`sudowoodo::SudowoodoSim`] — contrastive self-supervised embeddings +
-//!   a budget-calibrated matching threshold;
-//! * [`unicorn::UnicornSim`] — mixture-of-experts over pair embeddings with
-//!   a stacked gating model, standing in for Unicorn's unified MoE;
-//! * [`anymatch::AnyMatchSim`] — AutoML-lite small-model selection on a
-//!   budget-labeled sample, standing in for the GPT-2-based AnyMatch;
 //! * [`zeroer::ZeroErSim`] — unsupervised two-component Gaussian mixture on
-//!   the similarity features (ZeroER, related work §3);
-//! * [`embedding_features`] — schema-free embedding feature spaces for
-//!   heterogeneous sources (the paper's §4.2/§7 recommendation).
+//!   the similarity features (ZeroER, related work §3).
 //!
-//! Every LM-based method consumes Ditto-style serialized records through the
-//! hashed-embedding substitution documented in DESIGN.md §3. All methods
-//! share the [`ErBaseline`] interface so the harness can time them uniformly.
+//! The paper's language-model matchers (Sudowoodo, AnyMatch, Ditto,
+//! Unicorn) are not reproduced: they need pretrained language-model
+//! weights. Every method shares the [`ErBaseline`] interface so the harness
+//! can time them uniformly.
 
-pub mod anymatch;
-pub mod ditto;
-pub mod embedding_features;
 pub mod gmm;
-pub mod sudowoodo;
 pub mod transer;
-pub mod unicorn;
 pub mod zeroer;
 
-use morer_data::{ErProblem, MultiSourceDataset};
+use morer_data::ErProblem;
 use morer_ml::metrics::PairCounts;
 
-/// Everything a baseline needs: the dataset (for record text), the solved
-/// problems (training side), the unsolved problems (evaluation side), and
-/// the labeling regime.
+/// Everything a baseline needs: the solved problems (training side), the
+/// unsolved problems (evaluation side), and the labeling regime.
 pub struct BaselineContext<'a> {
-    /// The underlying dataset (record text for embedding methods).
-    pub dataset: &'a MultiSourceDataset,
     /// Solved problems `P_I` — training data providers.
     pub initial: Vec<&'a ErProblem>,
     /// Unsolved problems `P_U` — what gets classified and scored.
     pub unsolved: Vec<&'a ErProblem>,
-    /// Label budget for budget-limited methods (Sudowoodo, AnyMatch).
-    pub budget: usize,
     /// Fraction of the initial problems' labels available to supervised
     /// methods (the paper's "50%" / "all" columns).
     pub train_fraction: f64,
@@ -85,10 +66,8 @@ pub(crate) mod test_fixtures {
     /// A small but realistic multi-source benchmark shared by baseline tests.
     pub fn tiny_context(bench: &'_ morer_data::Benchmark) -> BaselineContext<'_> {
         BaselineContext {
-            dataset: &bench.dataset,
             initial: bench.initial_problems(),
             unsolved: bench.unsolved_problems(),
-            budget: 150,
             train_fraction: 1.0,
             seed: 7,
         }

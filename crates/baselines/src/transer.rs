@@ -113,7 +113,7 @@ impl ErBaseline for TransEr {
 
     fn run(&self, ctx: &BaselineContext<'_>) -> BaselineRun {
         // source domain: labeled vectors of all solved problems
-        let source = morer_core_free_supervised(ctx);
+        let source = source_pool(ctx);
         let mut counts = PairCounts::new();
         for target in &ctx.unsolved {
             let pseudo = self.pseudo_label(&source, target);
@@ -143,9 +143,9 @@ impl ErBaseline for TransEr {
     }
 }
 
-/// The supervised source pool shared by feature-space baselines: a fraction
-/// of every initial problem's labeled vectors.
-fn morer_core_free_supervised(ctx: &BaselineContext<'_>) -> TrainingSet {
+/// The supervised source pool: a fraction of every initial problem's
+/// labeled vectors.
+fn source_pool(ctx: &BaselineContext<'_>) -> TrainingSet {
     use rand::seq::SliceRandom;
     use rand::SeedableRng;
     let cols = ctx.initial.first().map_or(0, |p| p.num_features());

@@ -1,5 +1,6 @@
-//! Ablation benches for the design choices DESIGN.md calls out (beyond the
-//! paper's own figures).
+//! Ablation benches for MoRER's design choices: clustering algorithm,
+//! feature weighting, record uniqueness, cluster stability, `ratio_init` and
+//! budget (beyond the paper's own figures).
 
 use std::time::Instant;
 

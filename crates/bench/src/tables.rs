@@ -6,21 +6,9 @@ use morer_ml::metrics::PairCounts;
 use crate::runs::{dataset_key, find, load_benchmark, BudgetSpec, RunResult};
 use crate::Options;
 
-/// The language-model baselines that `crates/baselines` replaces with
-/// hashed-embedding stand-ins; their columns are marked with a `*`.
-const STAND_INS: [&str; 4] = ["sudowoodo", "anymatch", "ditto", "unicorn"];
-
-const STAND_IN_FOOTNOTE: &str = "* stand-in: a hashed-embedding approximation from \
-    crates/baselines, not the paper's language model";
-
-/// `label` with a `*` suffix when `method` is one of the [`STAND_INS`].
-fn column_label(label: &str, method: &str) -> String {
-    if STAND_INS.contains(&method) {
-        format!("{label}*")
-    } else {
-        label.to_owned()
-    }
-}
+/// Why Tables 4 and 5 have no language-model columns.
+const LM_FOOTNOTE: &str = "Sudowoodo, AnyMatch, Ditto and Unicorn are not reproduced: \
+    they need pretrained language-model weights.";
 
 fn prf(counts: &PairCounts) -> String {
     format!("{:.2}/{:.2}/{:.2}", counts.precision(), counts.recall(), counts.f1())
@@ -77,8 +65,8 @@ pub fn table3() {
 /// Table 4: linkage quality (P/R/F1) of every method.
 pub fn table4(matrix: &[RunResult]) {
     println!("\n=== Table 4: linkage quality (Precision/Recall/F1) ===");
-    let budget_methods = ["morer+almser", "morer+bs", "almser", "sudowoodo", "anymatch"];
-    let supervised_methods = ["morer", "ditto", "unicorn", "transer"];
+    let budget_methods = ["morer+almser", "morer+bs", "almser"];
+    let supervised_methods = ["morer", "transer"];
 
     let datasets: Vec<String> = {
         let mut seen = Vec::new();
@@ -105,7 +93,7 @@ pub fn table4(matrix: &[RunResult]) {
     // budget-limited block
     print!("{:<2} {:>5}", "D", "B");
     for m in budget_methods {
-        print!(" {:>16}", column_label(m, m));
+        print!(" {:>16}", m);
     }
     println!();
     for dataset in &datasets {
@@ -124,7 +112,7 @@ pub fn table4(matrix: &[RunResult]) {
     // supervised block
     print!("\n{:<2} {:>5}", "D", "B");
     for m in supervised_methods {
-        print!(" {:>16}", column_label(m, m));
+        print!(" {:>16}", m);
     }
     println!();
     for dataset in &datasets {
@@ -140,7 +128,7 @@ pub fn table4(matrix: &[RunResult]) {
             println!();
         }
     }
-    println!("{STAND_IN_FOOTNOTE}");
+    println!("{LM_FOOTNOTE}");
 }
 
 /// Table 5: speedup factors of the MoRER variants over every other method.
@@ -167,31 +155,18 @@ pub fn table5(matrix: &[RunResult]) {
         seen.sort_unstable();
         seen
     };
-    let columns: [(&str, BudgetSpec); 9] = [
-        ("Alm", BudgetSpec::Labels(0)), // placeholder: budget substituted per row
-        ("TER50", BudgetSpec::Fraction(0.5)),
-        ("TERall", BudgetSpec::Fraction(1.0)),
-        ("Su", BudgetSpec::Labels(0)),
-        ("Dit50", BudgetSpec::Fraction(0.5)),
-        ("Ditall", BudgetSpec::Fraction(1.0)),
-        ("Uni50", BudgetSpec::Fraction(0.5)),
-        ("Uniall", BudgetSpec::Fraction(1.0)),
-        ("Any", BudgetSpec::Labels(0)),
+    // (label, method, budget); a `Labels` budget is substituted per row
+    let columns = [
+        ("Alm", "almser", BudgetSpec::Labels(0)),
+        ("TER50", "transer", BudgetSpec::Fraction(0.5)),
+        ("TERall", "transer", BudgetSpec::Fraction(1.0)),
     ];
-    let column_method = |c: &str| match c {
-        "Alm" => "almser",
-        "TER50" | "TERall" => "transer",
-        "Su" => "sudowoodo",
-        "Dit50" | "Ditall" => "ditto",
-        "Uni50" | "Uniall" => "unicorn",
-        _ => "anymatch",
-    };
 
     for variant in ["morer+almser", "morer+bs"] {
         println!("\n--- {variant} ---");
         print!("{:<4} {:>5}", "DS", "B");
-        for (c, _) in &columns {
-            print!(" {:>7}", column_label(c, column_method(c)));
+        for (label, _, _) in &columns {
+            print!(" {:>7}", label);
         }
         println!();
         for dataset in &datasets {
@@ -200,12 +175,12 @@ pub fn table5(matrix: &[RunResult]) {
                     continue;
                 };
                 print!("{:<4} {:>5}", dataset_key(dataset), b);
-                for (c, spec) in &columns {
+                for (_, method, spec) in &columns {
                     let other_spec = match spec {
                         BudgetSpec::Labels(_) => BudgetSpec::Labels(b),
                         frac => *frac,
                     };
-                    match find(matrix, dataset, column_method(c), other_spec) {
+                    match find(matrix, dataset, method, other_spec) {
                         Some(other) => {
                             let speedup =
                                 other.runtime.as_secs_f64() / me.runtime.as_secs_f64().max(1e-9);
@@ -218,5 +193,5 @@ pub fn table5(matrix: &[RunResult]) {
             }
         }
     }
-    println!("{STAND_IN_FOOTNOTE}");
+    println!("{LM_FOOTNOTE}");
 }

@@ -583,13 +583,10 @@ impl Morer {
     /// commit is refused until the state is recovered via [`Morer::open`].
     pub fn add_problems(&mut self, problems: &[&ErProblem]) -> Result<IngestReport, MorerError> {
         if let Some(reason) = &self.wal_poisoned {
-            return Err(MorerError::Io(std::io::Error::new(
-                std::io::ErrorKind::Other,
-                format!(
-                    "write-ahead log poisoned by an earlier failure: {reason}; \
-                     recover the durable state with Morer::open"
-                ),
-            )));
+            return Err(MorerError::Io(std::io::Error::other(format!(
+                "write-ahead log poisoned by an earlier failure: {reason}; \
+                 recover the durable state with Morer::open"
+            ))));
         }
         let expected = self
             .num_features()
@@ -896,8 +893,9 @@ impl Morer {
     }
 
     /// Train a fresh model for an all-unsolved cluster (§4.5). Eq. 14
-    /// presumes a previous model; fresh clusters receive the
-    /// initial-allocation share of `b_tot` instead (see DESIGN.md).
+    /// presumes a previous model; a fresh cluster has none, so it receives
+    /// its size's share of `b_tot` instead (its vectors over the initial
+    /// problems' vectors, at least `budget_min`).
     /// Returns `(entry id, labels spent)`.
     fn train_fresh_entry(&mut self, members: &[usize], sizes: &[usize]) -> (usize, usize) {
         let cluster_vectors: usize = members.iter().map(|&p| sizes[p]).sum();

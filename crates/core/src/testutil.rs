@@ -7,6 +7,9 @@
 //! suites — `crates/core/tests/`, `crates/serve/tests/` — can share the
 //! same fixtures as the unit tests instead of re-triplicating them.
 
+use std::ops::Deref;
+use std::path::{Path, PathBuf};
+
 use crate::repository::ClusterEntry;
 use morer_data::ErProblem;
 use morer_ml::dataset::FeatureMatrix;
@@ -84,5 +87,29 @@ pub fn problem_with_mu(id: usize, mu: f64) -> ErProblem {
         features,
         labels,
         feature_names: vec!["f0".into(), "f1".into()],
+    }
+}
+
+/// A scratch directory that is removed, with its contents, when dropped.
+/// A path the test has already removed is ignored.
+pub struct ScratchDir(pub PathBuf);
+
+impl Deref for ScratchDir {
+    type Target = PathBuf;
+
+    fn deref(&self) -> &PathBuf {
+        &self.0
+    }
+}
+
+impl AsRef<Path> for ScratchDir {
+    fn as_ref(&self) -> &Path {
+        &self.0
+    }
+}
+
+impl Drop for ScratchDir {
+    fn drop(&mut self) {
+        let _ = std::fs::remove_dir_all(&self.0);
     }
 }

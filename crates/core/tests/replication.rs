@@ -12,7 +12,6 @@
 //!   log was poisoned by a transient disk failure, without ever having
 //!   acknowledged an unpersisted commit.
 
-use std::path::PathBuf;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
@@ -21,7 +20,7 @@ use morer_core::config::{MorerConfig, TrainingMode};
 use morer_core::pipeline::Morer;
 use morer_core::replication::{FollowerState, SegmentStatus};
 use morer_core::repository::ModelRepository;
-use morer_core::testutil::family_problem;
+use morer_core::testutil::{family_problem, ScratchDir};
 use morer_core::wal::{Durability, WalOptions, HEADER_LEN, LOG_FILE};
 use morer_core::wal::{content_hash, CommitRecord, Wal, BASE_FILE};
 use morer_data::ErProblem;
@@ -40,11 +39,11 @@ fn options() -> WalOptions {
     WalOptions { durability: Durability::Fsync, compact_every: 0 }
 }
 
-fn scratch_dir(name: &str) -> PathBuf {
+fn scratch_dir(name: &str) -> ScratchDir {
     let dir = std::env::temp_dir().join(format!("morer_repl_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
     std::fs::create_dir_all(&dir).unwrap();
-    dir
+    ScratchDir(dir)
 }
 
 fn canonical_bytes(repo: &ModelRepository) -> Vec<u8> {

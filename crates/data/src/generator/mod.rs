@@ -1,10 +1,11 @@
 //! Synthetic multi-source dataset generators.
 //!
-//! Stand-ins for the paper's three benchmarks (see DESIGN.md §3): each
-//! generator mirrors the published *shape* of its dataset — source count, ER
-//! problem count, pair volume, match rate, intra-source duplicates — while
-//! per-source [`SourceProfile`]s create the heterogeneous similarity
-//! distributions (paper Fig. 2) that MoRER's distribution analysis exploits.
+//! Stand-ins for the paper's three benchmarks, whose records are not shipped
+//! with this repository: each generator mirrors the published *shape* of
+//! its dataset — source count, ER problem count, pair volume, match rate,
+//! intra-source duplicates — while per-source [`SourceProfile`]s create the
+//! heterogeneous similarity distributions (paper Fig. 2) that MoRER's
+//! distribution analysis exploits.
 
 mod camera;
 mod computer;
@@ -151,7 +152,7 @@ pub(crate) fn build_benchmark(
     let spec = scheme.profile_spec().require_tokens(blocking.attribute);
     let profiles = profile_dataset(&dataset, spec);
 
-    let mut raw: Vec<((usize, usize), Vec<(u32, u32)>)> = Vec::new();
+    let mut raw = Vec::new();
     for k in 0..n {
         if include_self_problems {
             let pairs =

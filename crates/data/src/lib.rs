@@ -11,7 +11,7 @@
 //! * [`vocab`]: deterministic vocabularies for product and music domains;
 //! * [`generator`]: synthetic stand-ins for the paper's three benchmark
 //!   datasets — camera/Dexter-like, computer/WDC-like, music/MusicBrainz-like
-//!   (see DESIGN.md §3 for the substitution rationale);
+//!   (the real records are not shipped with this repository);
 //! * [`blocking`]: token and key blocking to produce candidate record pairs;
 //! * [`problem`]: the [`ErProblem`] type — similarity
 //!   feature vectors `w` with labels for one data-source pair — plus the

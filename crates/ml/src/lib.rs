@@ -17,8 +17,7 @@
 //!   `morer_sim::par`);
 //! * [`linear::LogisticRegression`]: full-batch gradient descent with L2;
 //! * [`naive_bayes::GaussianNb`]: Gaussian naive Bayes;
-//! * [`mlp::Mlp`]: one-hidden-layer perceptron (backbone of the
-//!   language-model stand-ins in `morer-baselines`);
+//! * [`mlp::Mlp`]: one-hidden-layer perceptron;
 //! * [`metrics`]: confusion counts, precision/recall/F1 with micro-averaging
 //!   across ER tasks (paper §5.2);
 //! * [`model::TrainedModel`]: a serde-serializable sum type of all trained

@@ -1,9 +1,9 @@
 //! One-hidden-layer multi-layer perceptron (binary classifier).
 //!
-//! The backbone of the neural baselines in `morer-baselines` (the Ditto /
-//! Unicorn stand-ins train this on record-pair embeddings). Deliberately
-//! minimal: ReLU hidden layer, sigmoid output, mini-batch SGD with momentum,
-//! binary cross-entropy loss.
+//! One of the model kinds a repository can train and store
+//! ([`crate::model::ModelConfig::Mlp`]). Deliberately minimal: ReLU hidden
+//! layer, sigmoid output, mini-batch SGD with momentum, binary cross-entropy
+//! loss.
 
 use rand::rngs::SmallRng;
 use rand::seq::SliceRandom;
@@ -110,13 +110,13 @@ impl Mlp {
                     let x = data.x.row(i);
                     let y = f64::from(data.y[i] as u8);
                     // forward
-                    for j in 0..hidden {
+                    for (j, hj) in h.iter_mut().enumerate() {
                         let z: f64 = model.b1[j]
                             + x.iter()
                                 .zip(&model.w1[j * input..(j + 1) * input])
                                 .map(|(xi, w)| xi * w)
                                 .sum::<f64>();
-                        h[j] = z.max(0.0); // ReLU
+                        *hj = z.max(0.0); // ReLU
                     }
                     let out = sigmoid(
                         model.b2 + h.iter().zip(&model.w2).map(|(hi, w)| hi * w).sum::<f64>(),

@@ -50,7 +50,7 @@ impl Classifier for Mlp {
 }
 
 /// A fixed-threshold classifier on the mean feature value — the trivial
-/// baseline and the calibrated head of the Sudowoodo stand-in.
+/// baseline.
 #[derive(Debug, Clone, Serialize, Deserialize, PartialEq)]
 pub struct ThresholdClassifier {
     /// Mean-feature threshold above which a pair is declared a match.

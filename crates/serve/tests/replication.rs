@@ -24,7 +24,7 @@ use std::time::{Duration, Instant};
 use morer_core::config::{MorerConfig, TrainingMode};
 use morer_core::pipeline::{IngestReport, Morer};
 use morer_core::repository::ModelRepository;
-use morer_core::testutil::family_problem;
+use morer_core::testutil::{family_problem, ScratchDir};
 use morer_core::wal::{Durability, WalOptions, HEADER_LEN, LOG_FILE};
 use morer_data::ErProblem;
 use morer_ml::model::ModelConfig;
@@ -58,14 +58,13 @@ fn replica_config(leader: SocketAddr) -> ReplicaConfig {
         poll_interval: Duration::from_millis(10),
         backoff_base: Duration::from_millis(10),
         backoff_cap: Duration::from_millis(100),
-        ..ReplicaConfig::default()
     }
 }
 
-fn scratch_dir(name: &str) -> PathBuf {
+fn scratch_dir(name: &str) -> ScratchDir {
     let dir = std::env::temp_dir().join(format!("morer_srv_repl_{}_{name}", std::process::id()));
     let _ = std::fs::remove_dir_all(&dir);
-    dir
+    ScratchDir(dir)
 }
 
 fn batch(c: usize) -> Vec<ErProblem> {

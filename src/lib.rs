@@ -15,8 +15,7 @@
 //! | [`graph`] | `morer-graph` | weighted graphs, Leiden/Louvain/label propagation/Girvan-Newman, min-cut, components |
 //! | [`ml`] | `morer-ml` | decision trees, random forests, logistic regression, MLP, naive Bayes, metrics |
 //! | [`al`] | `morer-al` | Bootstrap and Almser active learning |
-//! | [`embed`] | `morer-embed` | hashed n-gram record embeddings (LM stand-in) |
-//! | [`baselines`] | `morer-baselines` | TransER, DittoSim, SudowoodoSim, UnicornSim, AnyMatchSim, ZeroErSim |
+//! | [`baselines`] | `morer-baselines` | TransER, ZeroErSim |
 //!
 //! ## API architecture
 //!
@@ -110,7 +109,6 @@ pub use morer_al as al;
 pub use morer_baselines as baselines;
 pub use morer_core as core;
 pub use morer_data as data;
-pub use morer_embed as embed;
 pub use morer_graph as graph;
 pub use morer_ml as ml;
 pub use morer_serve as serve;

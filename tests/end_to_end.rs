@@ -7,12 +7,10 @@ use morer::baselines::{BaselineContext, ErBaseline};
 use morer::core::prelude::*;
 use morer::data::{camera, computer, music, DatasetScale};
 
-fn ctx<'a>(bench: &'a morer::data::Benchmark, budget: usize) -> BaselineContext<'a> {
+fn ctx(bench: &morer::data::Benchmark) -> BaselineContext<'_> {
     BaselineContext {
-        dataset: &bench.dataset,
         initial: bench.initial_problems(),
         unsolved: bench.unsolved_problems(),
-        budget,
         train_fraction: 1.0,
         seed: 11,
     }
@@ -106,7 +104,7 @@ fn supervised_morer_beats_budget_morer_with_full_data() {
 #[test]
 fn baselines_run_on_generated_benchmarks() {
     let bench = computer(DatasetScale::Tiny, 11);
-    let context = ctx(&bench, 150);
+    let context = ctx(&bench);
     let transer = TransEr::default().run(&context);
     assert!(transer.counts.total() > 0);
     let zeroer = ZeroErSim::default().run(&context);
