@@ -114,6 +114,9 @@ impl ErBaseline for TransEr {
     fn run(&self, ctx: &BaselineContext<'_>) -> BaselineRun {
         // source domain: labeled vectors of all solved problems
         let source = source_pool(ctx);
+        // the fallback forest depends only on the source pool and the
+        // config, so it is fitted at most once per run
+        let mut fallback: Option<RandomForest> = None;
         let mut counts = PairCounts::new();
         for target in &ctx.unsolved {
             let pseudo = self.pseudo_label(&source, target);
@@ -132,7 +135,8 @@ impl ErBaseline for TransEr {
                     .collect()
             } else {
                 // degenerate transfer: fall back to source-side model
-                let forest = RandomForest::fit(&source, &self.config.forest);
+                let forest = fallback
+                    .get_or_insert_with(|| RandomForest::fit(&source, &self.config.forest));
                 (0..target.num_pairs())
                     .map(|r| forest.predict(target.features.row(r)))
                     .collect()

@@ -40,7 +40,8 @@ use morer_serve::{
 };
 use morer_stats::tests::ks_statistic_sorted;
 use morer_stats::{ColumnSketch, UnivariateTest};
-use serde::{Deserialize, Serialize};
+use serde::json::Parser;
+use serde::{Deserialize, Serialize, Value};
 
 /// A probe's output: JSON keys with their already formatted values.
 type Keys = Vec<(&'static str, String)>;
@@ -77,6 +78,7 @@ pub fn run(seed: u64) {
         durability(seed),
         committee(seed),
         codec(seed),
+        numbers(seed),
     ]
     .concat();
     let mut line = String::from("{\"bench\":\"featurization\"");
@@ -846,5 +848,48 @@ fn codec(seed: u64) -> Keys {
         ("codec_encode_s", fixed(encode_s, 4)),
         ("codec_encode_reference_s", fixed(encode_reference_s, 4)),
         ("codec_encode_speedup", fixed(encode_reference_s / encode_s, 2)),
+    ]
+}
+
+/// The number reader on the float and pair tokens of the codec probe's
+/// problem body (12 000 features as the writer renders them, 4 000 record
+/// ids) against its oracle, the scan-then-`str::parse` reference: equal
+/// values, floats by bits. Each side's time is the best of [`ROUNDS`]
+/// alternating rounds of [`CODEC_REPS`] passes over every token.
+fn numbers(seed: u64) -> Keys {
+    let problems = repository_problems(1, 2_000, 6, seed);
+    let problem = &problems[0];
+    let floats = problem.features.iter_rows().flatten().map(serde_json::to_string);
+    let ids = problem.pairs.iter().flat_map(|&(a, b)| [a, b]);
+    let ids = ids.map(|id| serde_json::to_string(&id));
+    let tokens: Vec<String> = floats.chain(ids).collect::<Result<_, _>>().expect("encode token");
+
+    let read = |reader: fn(&mut Parser<'_>) -> Result<Value, serde::Error>| -> Vec<Value> {
+        tokens.iter().map(|t| reader(&mut Parser::new(t)).expect("number token")).collect()
+    };
+    let values = read(|p| p.number());
+    let reference = read(|p| p.number_reference());
+    let same = |a: &Value, b: &Value| match (a, b) {
+        (Value::F64(x), Value::F64(y)) => x.to_bits() == y.to_bits(),
+        _ => a == b,
+    };
+    assert!(
+        values.len() == reference.len() && values.iter().zip(&reference).all(|(a, b)| same(a, b)),
+        "number reader diverged from the reference"
+    );
+    let count = |reader: fn(&mut Parser<'_>) -> Result<Value, serde::Error>| {
+        tokens.iter().filter(|t| reader(&mut Parser::new(t)).is_ok()).count()
+    };
+    let (numbers_s, numbers_reference_s) = best_of_alternating(
+        CODEC_REPS,
+        || count(|p| p.number()),
+        || count(|p| p.number_reference()),
+    );
+
+    vec![
+        ("numbers_tokens", tokens.len().to_string()),
+        ("numbers_s", fixed(numbers_s, 4)),
+        ("numbers_reference_s", fixed(numbers_reference_s, 4)),
+        ("numbers_speedup", fixed(numbers_reference_s / numbers_s, 2)),
     ]
 }

@@ -7,9 +7,11 @@
 //! bytes `write_value(&x.to_value())` emits, and streaming decode must
 //! agree with `from_str_value` + `from_value` on every input — equal
 //! values, or both errors — including arbitrary, truncated and mutated
-//! bytes, none of which may panic.
+//! bytes, and number tokens rewritten into edge forms, none of which may
+//! panic.
 
 use std::fmt::Debug;
+use std::ops::Range;
 
 use morer_core::error::MorerError;
 use morer_core::pipeline::IngestReport;
@@ -186,6 +188,73 @@ fn hostile_variants_decode_alike<T: Deserialize + PartialEq + Debug>(
     Ok(())
 }
 
+/// Number tokens both paths must read alike: signed and leading zeros,
+/// forms `str::parse` rejects or accepts beyond JSON, the `i64`, `u64`
+/// and `u32` limits and their neighbours, subnormals, the ends of the
+/// `f64` range, exponents past it and digit strings past 19 digits.
+const NUMBER_EDGES: &[&str] = &[
+    "-0", "-0.0", "0.0", "007", "-007", "00.5", "1.", "1e", "1.2.3", "--1", "-", "1e5e5", "1E5",
+    "1e+5", "1e400", "-1e400", "1e-400", "4.9e-324", "2.5e-324", "2.2250738585072014e-308",
+    "1.7976931348623157e308", "1.7976931348623159e308", "9223372036854775806",
+    "9223372036854775807", "9223372036854775808", "-9223372036854775807",
+    "-9223372036854775808", "-9223372036854775809", "18446744073709551614",
+    "18446744073709551615", "18446744073709551616", "4294967295", "4294967296", "-1", "0.5",
+    "12345678901234567890123", "0.12345678901234567890123", "1e4294967296",
+];
+
+/// The byte ranges of the number tokens of `json`, outside strings: a `-`
+/// or digit and the run of `0-9 . e E + -` after it, as the parser scans.
+fn number_tokens(json: &str) -> Vec<Range<usize>> {
+    let bytes = json.as_bytes();
+    let mut tokens = Vec::new();
+    let mut in_string = false;
+    let mut i = 0;
+    while i < bytes.len() {
+        let b = bytes[i];
+        i += 1;
+        if in_string {
+            match b {
+                b'\\' => i += 1,
+                b'"' => in_string = false,
+                _ => {}
+            }
+        } else if b == b'"' {
+            in_string = true;
+        } else if b == b'-' || b.is_ascii_digit() {
+            let start = i - 1;
+            while bytes.get(i).is_some_and(|c| c.is_ascii_digit() || b".eE+-".contains(c)) {
+                i += 1;
+            }
+            tokens.push(start..i);
+        }
+    }
+    tokens
+}
+
+/// A valid document with one to three of its number tokens rewritten into
+/// [`NUMBER_EDGES`] forms decodes alike on both paths, eight times over.
+fn number_edges_decode_alike<T: Deserialize + PartialEq + Debug>(
+    json: &str,
+    rng: &mut TestRng,
+) -> Result<(), String> {
+    let tokens = number_tokens(json);
+    prop_assert!(!tokens.is_empty(), "no number in {}", json);
+    for _ in 0..8 {
+        let mut picks: Vec<Range<usize>> = (0..rng.usize_inclusive(1, 3))
+            .map(|_| tokens[rng.usize_inclusive(0, tokens.len() - 1)].clone())
+            .collect();
+        // rewrite from the back, so the earlier ranges stay put
+        picks.sort_by_key(|r| std::cmp::Reverse(r.start));
+        picks.dedup();
+        let mut mutated = json.to_owned();
+        for r in picks {
+            mutated.replace_range(r, NUMBER_EDGES[rng.usize_inclusive(0, NUMBER_EDGES.len() - 1)]);
+        }
+        decodes_like_the_tree::<T>(&mutated)?;
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
@@ -227,6 +296,7 @@ proptest! {
         let json = serde_json::to_string(&p).unwrap();
         prop_assert_eq!(serde_json::from_str::<ErProblem>(&json).unwrap(), p);
         hostile_variants_decode_alike::<ErProblem>(&json, &mut rng)?;
+        number_edges_decode_alike::<ErProblem>(&json, &mut rng)?;
     }
 
     #[test]
@@ -237,6 +307,7 @@ proptest! {
         let json = serde_json::to_string(&batch).unwrap();
         prop_assert_eq!(&serde_json::from_str::<Vec<ErProblem>>(&json).unwrap(), &batch);
         hostile_variants_decode_alike::<Vec<ErProblem>>(&json, &mut rng)?;
+        number_edges_decode_alike::<Vec<ErProblem>>(&json, &mut rng)?;
         // an object body is one problem, and whitespace anywhere is fine
         let one = serde_json::to_string(&batch[0]).unwrap();
         let spaced = format!(" \n{}\t", one.replace(',', " ,\r\n "));
@@ -250,6 +321,7 @@ proptest! {
         let json = serde_json::to_string(&record).unwrap();
         prop_assert_eq!(serde_json::from_str::<CommitRecord>(&json).unwrap(), record);
         hostile_variants_decode_alike::<CommitRecord>(&json, &mut rng)?;
+        number_edges_decode_alike::<CommitRecord>(&json, &mut rng)?;
     }
 
     #[test]

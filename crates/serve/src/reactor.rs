@@ -402,18 +402,14 @@ impl Reactor {
                 d.saturating_duration_since(now).as_millis().min(u128::from(u64::MAX)) as u64
             });
             let wait_started = Instant::now();
-            let n = match self.epoll.wait(&mut events, timeout) {
-                Ok(n) => n,
-                Err(_) => 0,
-            };
+            let n = self.epoll.wait(&mut events, timeout).unwrap_or_default();
             let stages = self.state.metrics.stages();
             stages.epoll_wait_micros.record_micros(wait_started.elapsed());
             stages.dispatch_depth.record(n as u64);
             if self.state.shutdown.load(Ordering::Acquire) && !self.winding_down {
                 self.begin_winding_down();
             }
-            for i in 0..n {
-                let ev = events[i];
+            for &ev in &events[..n] {
                 match ev.token() {
                     TOKEN_LISTENER => self.accept_ready(),
                     TOKEN_WAKE => self.bell.waker.drain(),
@@ -873,7 +869,7 @@ impl Reactor {
         let gen = self.slab.gens[slot];
         let Some(conn) = self.slab.conns[slot].as_mut() else { return };
         conn.deadline = Some(when);
-        if conn.next_fire.map_or(true, |f| when < f) {
+        if conn.next_fire.is_none_or(|f| when < f) {
             conn.next_fire = Some(when);
             self.timers.push(when, slot, gen);
         }
@@ -906,7 +902,7 @@ impl Reactor {
                     // deadline moved later (re-armed by a request): keep
                     // at most one live entry per connection
                     let conn = self.slab.conns[slot].as_mut().expect("live above");
-                    if conn.next_fire.map_or(true, |f| d < f) {
+                    if conn.next_fire.is_none_or(|f| d < f) {
                         conn.next_fire = Some(d);
                         self.timers.push(d, slot, gen);
                     }

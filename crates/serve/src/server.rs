@@ -480,7 +480,7 @@ fn writer_loop(
             Err(RecvTimeoutError::Disconnected) => return,
         };
         if morer.wal_poisoned().is_some() {
-            let due = last_probe.map_or(true, |t| t.elapsed() >= writer_retry);
+            let due = last_probe.is_none_or(|t| t.elapsed() >= writer_retry);
             if due {
                 last_probe = Some(Instant::now());
                 if matches!(morer.repair_wal(), Ok(true)) {
@@ -494,8 +494,7 @@ fn writer_loop(
         if morer.wal_poisoned().is_some() {
             // still degraded: refuse rather than acknowledge a commit the
             // log cannot persist (the requester can retry after repair)
-            let _ = first.reply.send(Err(MorerError::Io(std::io::Error::new(
-                std::io::ErrorKind::Other,
+            let _ = first.reply.send(Err(MorerError::Io(std::io::Error::other(
                 "write-ahead log failed; ingest is disabled until repair succeeds",
             ))));
             continue;
@@ -585,8 +584,7 @@ fn writer_loop(
                         // a 500, never a 400 suggesting their problems were
                         // bad
                         for job in accepted {
-                            let _ = job.reply.send(Err(MorerError::Io(std::io::Error::new(
-                                std::io::ErrorKind::Other,
+                            let _ = job.reply.send(Err(MorerError::Io(std::io::Error::other(
                                 "ingest commit panicked; the write path is disabled until restart",
                             ))));
                         }
@@ -618,10 +616,7 @@ fn writer_loop(
             };
             for (_, jobs) in pending {
                 for job in jobs {
-                    let _ = job.reply.send(Err(MorerError::Io(std::io::Error::new(
-                        std::io::ErrorKind::Other,
-                        reason,
-                    ))));
+                    let _ = job.reply.send(Err(MorerError::Io(std::io::Error::other(reason))));
                 }
             }
             if panicked {
@@ -1324,10 +1319,7 @@ fn ingest(ingest_tx: &SyncSender<IngestJob>, body: &[u8], trace: &mut Trace) -> 
 
 fn writer_gone() -> Reply {
     Reply::error(
-        &MorerError::Io(std::io::Error::new(
-            std::io::ErrorKind::Other,
-            "ingest writer thread is gone",
-        )),
+        &MorerError::Io(std::io::Error::other("ingest writer thread is gone")),
         Endpoint::Ingest,
     )
 }
