@@ -24,7 +24,7 @@ use morer_bench::workload::{
 use morer_core::config::{MorerConfig, TrainingMode};
 use morer_core::distribution::{
     build_problem_graph_direct, build_problem_graph_sketched, problem_similarity_with,
-    AnalysisOptions, DistributionSketch, DistributionTest,
+    sketch_similarity, AnalysisOptions, DistributionSketch, DistributionTest,
 };
 use morer_core::pipeline::{IngestReport, Morer};
 use morer_core::replication::{FollowerState, SegmentStatus};
@@ -60,6 +60,11 @@ const SERVE_CONNS: usize = 4;
 const WAL_APPENDS: usize = 64;
 /// Problems in the ingest repository before the arrivals.
 const INGEST_BASE: usize = 40;
+/// Arrivals of the `par` probe's extend loop, and their rows.
+const EXTEND_ARRIVALS: usize = 100;
+const EXTEND_ROWS: usize = 500;
+/// Trivial calls the `par` probe times one by one for its dispatch cost.
+const DISPATCH_CALLS: usize = 2001;
 const NON_EMPTY: &str = "non-empty repository";
 
 /// Run every probe in order and print one JSON line.
@@ -79,6 +84,7 @@ pub fn run(seed: u64) {
         committee(seed),
         codec(seed),
         numbers(seed),
+        par_pool(seed),
     ]
     .concat();
     let mut line = String::from("{\"bench\":\"featurization\"");
@@ -891,5 +897,55 @@ fn numbers(seed: u64) -> Keys {
         ("numbers_s", fixed(numbers_s, 4)),
         ("numbers_reference_s", fixed(numbers_reference_s, 4)),
         ("numbers_speedup", fixed(numbers_reference_s / numbers_s, 2)),
+    ]
+}
+
+/// `morer_sim::par` on the ingest extend loop: each of 100 500-row
+/// arrivals scored against every stored sketch as the store grows from 40
+/// to 140 (2000-row base problems), as `/ingest` does. Asserts the pooled
+/// `map_indexed` equals the sequential map by bits on every arrival, then
+/// times all arrivals both ways (best of [`ROUNDS`] alternating rounds)
+/// and the median of [`DISPATCH_CALLS`] trivial two-item calls.
+fn par_pool(seed: u64) -> Keys {
+    let opts = MorerConfig { seed, ..MorerConfig::default() }.analysis_options();
+    let base = analysis_workload(INGEST_BASE, 2000, 6, seed ^ 0x1261);
+    let arrivals = analysis_workload(EXTEND_ARRIVALS, EXTEND_ROWS, 6, seed ^ 0xA221);
+    let sketches: Vec<DistributionSketch> = base
+        .iter()
+        .chain(&arrivals)
+        .enumerate()
+        .map(|(p, problem)| DistributionSketch::of(problem, &opts.for_problem(p)))
+        .collect();
+    // arrival `j` against the `j` sketches stored before it
+    let score = |j: usize, i: usize| {
+        let local = AnalysisOptions { seed: opts.seed ^ ((i as u64) << 20) ^ j as u64, ..opts };
+        sketch_similarity(&sketches[i], &sketches[j], &local).to_bits()
+    };
+    let extend = |pooled: bool| -> Vec<Vec<u64>> {
+        let arrival = |j: usize| {
+            let f = |i| score(j, i);
+            if pooled {
+                morer_sim::par::map_indexed(j, 8, f)
+            } else {
+                (0..j).map(f).collect()
+            }
+        };
+        (INGEST_BASE..sketches.len()).map(arrival).collect()
+    };
+    assert_eq!(extend(true), extend(false), "pooled map diverged from the sequential loop");
+    let (par_s, sequential_s) = best_of_alternating(1, || extend(true), || extend(false));
+
+    let mut dispatch_us: Vec<f64> = (0..DISPATCH_CALLS)
+        .map(|_| timed(|| black_box(morer_sim::par::map_indexed(2, 1, black_box))).1 * 1e6)
+        .collect();
+    dispatch_us.sort_by(f64::total_cmp);
+
+    vec![
+        ("par_threads", morer_sim::par::thread_count(usize::MAX, 1).to_string()),
+        ("par_extend_arrivals", EXTEND_ARRIVALS.to_string()),
+        ("par_extend_s", fixed(par_s, 4)),
+        ("par_extend_sequential_s", fixed(sequential_s, 4)),
+        ("par_extend_speedup", fixed(sequential_s / par_s, 2)),
+        ("par_dispatch_us", fixed(dispatch_us[DISPATCH_CALLS / 2], 2)),
     ]
 }

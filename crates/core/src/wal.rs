@@ -464,7 +464,9 @@ impl Wal {
         let epoch = follower.epoch();
         let repository = follower.into_repository();
 
-        let mut log = OpenOptions::new().create(true).write(true).open(&log_path)?;
+        // recovery keeps the log's bytes; a torn tail is cut below
+        let mut log =
+            OpenOptions::new().create(true).write(true).truncate(false).open(&log_path)?;
         if valid_end < HEADER_LEN {
             // empty or torn-header log: start it fresh
             log.set_len(0)?;

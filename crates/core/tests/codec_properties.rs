@@ -193,7 +193,8 @@ fn hostile_variants_decode_alike<T: Deserialize + PartialEq + Debug>(
 /// and `u32` limits and their neighbours, subnormals, the ends of the
 /// `f64` range, exponents past it and digit strings past 19 digits.
 const NUMBER_EDGES: &[&str] = &[
-    "-0", "-0.0", "0.0", "007", "-007", "00.5", "1.", "1e", "1.2.3", "--1", "-", "1e5e5", "1E5",
+    "-0", "-0.0", "0.0", "007", "-007", "00.5", "1.", "1.e5", "-.5", "1e", "1.2.3", "--1", "-",
+    "1e5e5", "1E5",
     "1e+5", "1e400", "-1e400", "1e-400", "4.9e-324", "2.5e-324", "2.2250738585072014e-308",
     "1.7976931348623157e308", "1.7976931348623159e308", "9223372036854775806",
     "9223372036854775807", "9223372036854775808", "-9223372036854775807",
@@ -232,7 +233,8 @@ fn number_tokens(json: &str) -> Vec<Range<usize>> {
 }
 
 /// A valid document with one to three of its number tokens rewritten into
-/// [`NUMBER_EDGES`] forms decodes alike on both paths, eight times over.
+/// [`NUMBER_EDGES`] forms decodes alike on both paths, eight times over;
+/// one with a token rewritten into a form RFC 8259 forbids fails on both.
 fn number_edges_decode_alike<T: Deserialize + PartialEq + Debug>(
     json: &str,
     rng: &mut TestRng,
@@ -251,6 +253,12 @@ fn number_edges_decode_alike<T: Deserialize + PartialEq + Debug>(
             mutated.replace_range(r, NUMBER_EDGES[rng.usize_inclusive(0, NUMBER_EDGES.len() - 1)]);
         }
         decodes_like_the_tree::<T>(&mutated)?;
+    }
+    // number forms RFC 8259 forbids fail on both paths
+    for bad in ["007", "1.", "-.5", "1.e5"] {
+        let mut mutated = json.to_owned();
+        mutated.replace_range(tokens[rng.usize_inclusive(0, tokens.len() - 1)].clone(), bad);
+        prop_assert!(!decodes_like_the_tree::<T>(&mutated)?, "decoded: {}", mutated);
     }
     Ok(())
 }

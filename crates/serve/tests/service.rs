@@ -407,6 +407,23 @@ fn protocol_errors_are_typed_4xx_and_never_kill_the_worker() {
     handle.shutdown();
 }
 
+/// A number spelled as RFC 8259 forbids (a leading zero, a bare dot) is a
+/// 400 parse error; the same body spelled as JSON solves.
+#[test]
+fn numbers_json_forbids_are_400_parse() {
+    let handle = MorerServer::start(built_morer(), &ServeConfig::default()).unwrap();
+    let mut conn = connect(handle.addr());
+    let body = serde_json::to_string(&family_problem(7, 0, 30)).unwrap();
+    assert_eq!(conn.post("/solve", &body).unwrap().status, 200);
+    for bad in ["\"id\":007", "\"id\":7.", "\"id\":7.e0"] {
+        let res = conn.post("/solve", &body.replacen("\"id\":7", bad, 1)).unwrap();
+        assert_eq!(res.status, 400, "{bad}");
+        let env: ErrorEnvelope = serde_json::from_str(&res.body).unwrap();
+        assert_eq!(env.error.kind, "parse");
+    }
+    handle.shutdown();
+}
+
 /// Well-typed but internally inconsistent problems (the pipeline's inner
 /// loops index on cross-field invariants) and feature-space mismatches
 /// must be 400s — never panics that kill a serving thread or, worse, the

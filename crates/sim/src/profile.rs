@@ -263,12 +263,12 @@ impl ProfileSet {
             .attrs
             .iter()
             .map(|n| {
-                u8::from(n.tokens) * NEED_TOKENS
-                    | u8::from(n.token_chars) * NEED_TOKEN_CHARS
-                    | u8::from(n.chars) * NEED_CHARS
-                    | u8::from(n.lev) * NEED_LEV
-                    | u8::from(n.numeric) * NEED_NUMERIC
-                    | u8::from(n.date) * NEED_DATE
+                (u8::from(n.tokens) * NEED_TOKENS)
+                    | (u8::from(n.token_chars) * NEED_TOKEN_CHARS)
+                    | (u8::from(n.chars) * NEED_CHARS)
+                    | (u8::from(n.lev) * NEED_LEV)
+                    | (u8::from(n.numeric) * NEED_NUMERIC)
+                    | (u8::from(n.date) * NEED_DATE)
             })
             .collect();
         Self { spec, n_attrs, q_stride, needs_bits, ..Self::default() }

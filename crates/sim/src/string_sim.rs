@@ -309,8 +309,8 @@ pub(crate) fn jaro_chars(a: &[char], b: &[char]) -> f64 {
         for (i, ca) in a.iter().enumerate() {
             let lo = i.saturating_sub(window);
             let hi = (i + window + 1).min(b.len());
-            for j in lo..hi {
-                if used & (1 << j) == 0 && b[j] == *ca {
+            for (j, cb) in b.iter().enumerate().take(hi).skip(lo) {
+                if used & (1 << j) == 0 && cb == ca {
                     used |= 1 << j;
                     matches_a[m] = *ca;
                     m += 1;
