@@ -118,11 +118,11 @@ impl AlmserAl {
             Some(l) => l,
             None => proba[row] >= 0.5,
         };
-        for row in 0..n_rows {
+        for (row, &p) in proba[..n_rows].iter().enumerate() {
             if positive(row) {
                 let (ia, ib) = records.endpoints[row];
                 if ia != ib {
-                    g.add_edge(ia, ib, proba[row].max(0.05));
+                    g.add_edge(ia, ib, p.max(0.05));
                 }
             }
         }

@@ -1,4 +1,4 @@
-//! Shared benchmark support for the `morer-bench` binary and the criterion
-//! benches: reproducible workload generators.
+//! Shared benchmark support for the `repro` binary (`repro quick-bench`)
+//! and perfbench: reproducible workload generators.
 
 pub mod workload;

@@ -1,10 +1,9 @@
-//! Reproducible featurization workloads.
+//! Reproducible benchmark workloads.
 //!
-//! The `featurization` criterion bench and the `quick-bench` trajectory mode
-//! both measure the same thing: pairs/second through `ErProblem` feature
-//! generation on a product-catalog-shaped two-source dataset. This module
-//! builds that workload deterministically so numbers are comparable across
-//! runs and machines.
+//! Every `quick-bench` probe builds its inputs here, and perfbench's
+//! `ingest` workload draws its repository, arrivals and queries from
+//! [`analysis_workload`]. Each generator is deterministic in its seed, so
+//! numbers are comparable across runs and machines.
 
 use morer_core::repository::ClusterEntry;
 use morer_data::record::{DataSource, MultiSourceDataset, Record, Schema};
@@ -145,8 +144,8 @@ pub fn featurization_workload(
 /// distribution families (distinct per-problem match/non-match locations)
 /// so the resulting problem graph has real cluster structure.
 ///
-/// The `analysis` criterion bench and the `quick-bench` trajectory mode
-/// both run the O(P²) graph build and the model search over this workload.
+/// Most `quick-bench` probes (analysis, sketch, predict, search, ingest,
+/// `par`) and perfbench's `ingest` workload run over this workload.
 pub fn analysis_workload(
     n_problems: usize,
     rows: usize,
@@ -195,8 +194,8 @@ pub fn analysis_workload(
 /// jitter in match/non-match locations, spread and match rate — a much
 /// wider spread than [`analysis_workload`] so the coarse signatures of
 /// [`morer_core::index`] actually separate the entries. This is the scale
-/// knob behind the `search_index` bench and the indexed-search section of
-/// `quick-bench` (≥500-entry repositories).
+/// knob behind the `search_index` probe of `quick-bench` (≥500-entry
+/// repositories).
 pub fn repository_problems(
     n_problems: usize,
     rows: usize,
@@ -282,8 +281,8 @@ pub fn search_workload(seed: u64) -> (Vec<ClusterEntry>, Vec<ErProblem>) {
 /// features do), labeled a match when their mean exceeds 0.5, with 10% of
 /// the labels flipped so committee trees grow deep.
 ///
-/// The `classifiers` criterion bench and `quick-bench` fit a committee on
-/// it with [`fit_committee`] and [`fit_committee_reference`].
+/// The `committee` probe of `quick-bench` fits a committee on it with
+/// [`fit_committee`] and [`fit_committee_reference`].
 pub fn committee_training_set(rows: usize, seed: u64) -> TrainingSet {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0xB007);
     let mut data = TrainingSet::new(5);
@@ -329,8 +328,8 @@ pub fn fit_committee_reference(data: &TrainingSet, size: usize, seed: u64) -> Ve
 /// like [`committee_training_set`]'s (five similarity features rounded to
 /// 0.01), drawn from their own stream.
 ///
-/// The `classifiers` criterion bench and `quick-bench` vote a committee
-/// over it with [`committee_votes`] and [`committee_votes_reference`].
+/// The `committee` probe of `quick-bench` votes a committee over it with
+/// [`committee_votes`] and [`committee_votes_reference`].
 pub fn committee_pool(rows: usize, seed: u64) -> FeatureMatrix {
     let mut rng = SmallRng::seed_from_u64(seed ^ 0x9001);
     let mut pool = FeatureMatrix::new(5);

@@ -56,8 +56,8 @@
 //! O(dirty) cost (optionally fsync-acknowledged), and
 //! [`pipeline::Morer::open`] recovers the exact last-committed state by
 //! loading the latest base snapshot and replaying the valid log suffix —
-//! torn or bit-flipped log tails are detected by per-record length prefix
-//! + content hash and truncated, never replayed. The same self-delimiting,
+//! torn or bit-flipped log tails are detected by a per-record length prefix
+//! and content hash, and truncated, never replayed. The same self-delimiting,
 //! content-hashed framing makes the log *shippable*: [`replication`] holds
 //! the one replay state machine ([`replication::FollowerState`]) that
 //! recovery runs over the log on disk and a replica runs over a leader's

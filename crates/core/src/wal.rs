@@ -820,7 +820,7 @@ fn read_base(dir: &Path) -> Result<(ModelRepository, u64, u64), MorerError> {
 /// wire.
 pub(crate) fn decode_base(text: &str) -> Result<(ModelRepository, u64, u64), MorerError> {
     let corrupt = |reason: String| MorerError::LogCorrupt { offset: 0, reason };
-    let envelope = serde_json::from_str_value(&text)
+    let envelope = serde_json::from_str_value(text)
         .map_err(|e| corrupt(format!("base snapshot is not valid JSON: {e}")))?;
     let version = read_u64(&envelope, "wal_version")
         .ok_or_else(|| corrupt("base snapshot lacks a wal_version header".to_owned()))?;

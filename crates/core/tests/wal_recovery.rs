@@ -92,7 +92,7 @@ fn scripted_run(dir: &Path, commits: usize) -> Vec<Checkpoint> {
 
 /// The checkpoint a crash leaving `log_len` valid log bytes must recover
 /// to: the greatest epoch whose record is fully contained in the prefix.
-fn expected_for<'a>(checkpoints: &'a [Checkpoint], log_len: u64) -> &'a Checkpoint {
+fn expected_for(checkpoints: &[Checkpoint], log_len: u64) -> &Checkpoint {
     checkpoints.iter().rev().find(|c| c.log_bytes <= log_len).unwrap_or(&checkpoints[0])
 }
 

@@ -80,6 +80,8 @@ pub fn stoer_wagner(g: &Graph) -> Option<MinCut> {
         // contract t into s
         let t_members = std::mem::take(&mut merged[t]);
         merged[s].extend(t_members);
+        // indexed: row s and column s are both written, so `w` stays symmetric
+        #[allow(clippy::needless_range_loop)]
         for u in 0..n {
             if u != s && u != t {
                 w[s][u] += w[t][u];

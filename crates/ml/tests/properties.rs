@@ -47,9 +47,12 @@ fn feature_value(code: usize, x: f64) -> f64 {
     }
 }
 
+/// A row of four feature-value codes, its label and its multiplicity count.
+type WeightedRow = (Vec<(usize, f64)>, bool, u32);
+
 /// Rows of up to four feature-value codes, each with a label and a
 /// multiplicity count (zero included).
-fn weighted_rows() -> impl Strategy<Value = Vec<(Vec<(usize, f64)>, bool, u32)>> {
+fn weighted_rows() -> impl Strategy<Value = Vec<WeightedRow>> {
     proptest::collection::vec(
         (proptest::collection::vec((0usize..14, 0.0f64..1.0), 4..=4), any::<bool>(), 0u32..=3),
         0..40,

@@ -636,9 +636,23 @@ mod tests {
             trace.span(STAGE_DECODE, started, 0);
         }
         m.finish_trace(&mut trace, Endpoint::Solve, 200, started);
-        // the scratchpad clamps at MAX_TRACE_SPANS; the root span still
-        // fits because finish_trace's span_with simply drops on overflow
-        assert!(m.recent_spans().len() <= MAX_TRACE_SPANS);
+        // the scratchpad clamps at MAX_TRACE_SPANS: once interior spans
+        // fill it, span_with drops every later span, the root included
+        let spans = m.recent_spans();
+        assert_eq!(spans.len(), MAX_TRACE_SPANS);
+        assert!(spans.iter().all(|s| s.stage == STAGE_DECODE));
+
+        // with one slot left for it, the root span is kept
+        let m = MetricsRegistry::new(u64::MAX);
+        let mut trace = m.begin_trace();
+        for _ in 0..MAX_TRACE_SPANS - 1 {
+            trace.span(STAGE_DECODE, started, 0);
+        }
+        m.finish_trace(&mut trace, Endpoint::Solve, 200, started);
+        let spans = m.recent_spans();
+        assert_eq!(spans.len(), MAX_TRACE_SPANS);
+        let root = spans.iter().find(|s| s.stage == STAGE_REQUEST).expect("root span kept");
+        assert_eq!(root.code, 200);
     }
 
     #[test]

@@ -1033,9 +1033,19 @@ fn render_metrics(state: &ServerState) -> String {
 /// `GET /debug/trace[?id=HEX]` — dump the flight recorder: every span of
 /// the newest traced requests (`recent`) and of threshold-crossing slow
 /// requests (`slow`), optionally filtered to one trace id (the
-/// `x-morer-trace-id` response-header value).
+/// `x-morer-trace-id` response-header value). An `id` that is not hex is a
+/// `400 parse` error, not an unfiltered dump.
 fn trace_dump(state: &ServerState, query: &str) -> Reply {
-    let filter = query_param(query, "id").and_then(|v| u64::from_str_radix(v, 16).ok());
+    let filter = match query_param(query, "id") {
+        None => None,
+        Some(v) => match u64::from_str_radix(v, 16) {
+            Ok(id) => Some(id),
+            Err(e) => {
+                let message = format!("trace id {v:?} is not a hex u64: {e}");
+                return Reply::json(400, plain_error("parse", &message), Endpoint::Trace);
+            }
+        },
+    };
     let to_wire = |spans: Vec<Span>| -> Vec<TraceSpan> {
         spans
             .into_iter()

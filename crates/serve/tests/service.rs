@@ -866,3 +866,27 @@ fn slow_requests_are_traced_and_fast_ones_skip_the_slow_log() {
     );
     handle.shutdown();
 }
+
+/// `GET /debug/trace?id=` with an id that is not hex is a `400 parse`
+/// error, not the unfiltered dump; without `id` the dump stays unfiltered.
+#[test]
+fn trace_dump_rejects_a_non_hex_id() {
+    use morer_serve::TraceDump;
+
+    let handle = MorerServer::start(built_morer(), &ServeConfig::default()).unwrap();
+    let mut conn = connect(handle.addr());
+    assert_eq!(conn.get_raw("/healthz").unwrap().status, 200);
+
+    for bad in ["zz", "", "12345678901234567", "-1"] {
+        let res = conn.get(&format!("/debug/trace?id={bad}")).unwrap();
+        assert_eq!(res.status, 400, "id={bad:?}: {}", res.body);
+        let env: ErrorEnvelope = serde_json::from_str(&res.body).unwrap();
+        assert_eq!(env.error.kind, "parse", "id={bad:?}");
+    }
+
+    let res = conn.get("/debug/trace").unwrap();
+    assert_eq!(res.status, 200, "{}", res.body);
+    let dump: TraceDump = serde_json::from_str(&res.body).unwrap();
+    assert!(dump.recent.iter().any(|s| s.stage == "request"), "{:?}", dump.recent);
+    handle.shutdown();
+}

@@ -167,7 +167,7 @@ proptest! {
         let cb: Vec<char> = nb.chars().collect();
         let mut dp = vec![vec![0usize; cb.len() + 1]; ca.len() + 1];
         for (i, row) in dp.iter_mut().enumerate() { row[0] = i; }
-        for j in 0..=cb.len() { dp[0][j] = j; }
+        for (j, cell) in dp[0].iter_mut().enumerate() { *cell = j; }
         for i in 1..=ca.len() {
             for j in 1..=cb.len() {
                 let cost = usize::from(ca[i - 1] != cb[j - 1]);
